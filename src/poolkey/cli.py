@@ -12,6 +12,7 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from pathlib import Path
 
 from .annotation_io import (
@@ -26,7 +27,6 @@ from .errors import (
     ConfigError,
     DegeneracyError,
     FormatError,
-    InsufficientConstraintsError,
     NoModelError,
     NumericError,
     ProjectiveError,
@@ -34,11 +34,19 @@ from .errors import (
     ShapeError,
     ValidationError,
 )
-from .heatmap import DecodeParams, cross_entropy_loss, decode, read_volume
+from .heatmap import (
+    DecodeParams,
+    cross_entropy_loss,
+    gate,
+    read_summary,
+    read_volume,
+)
 from .homography import RansacParams, localize_frame, localize_result_to_dict
 from .metrics import (
     EvalParams,
     beta_sweep,
+    check_beta_grid,
+    check_tolerance_grid,
     evaluate,
     report_to_dict,
     tolerance_sweep,
@@ -120,9 +128,11 @@ def _pair_files(pred_dir: str, gt_dir: str) -> list[tuple[Path, Path]]:
 
 
 def _load_pairs(pred_dir: str, gt_dir: str, workers: int):
+    """(summary, annotation) per frame; a worker holds one volume at a time."""
+
     def load(pair):
         volume_path, annotation_path = pair
-        return read_volume(volume_path), read_annotation(annotation_path)
+        return read_summary(volume_path), read_annotation(annotation_path)
 
     return _map(load, _pair_files(pred_dir, gt_dir), workers)
 
@@ -170,8 +180,8 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_decode(args) -> int:
-    volume = read_volume(args.volume)
-    detections = decode(volume, DecodeParams(args.beta), Path(args.volume).stem)
+    params = DecodeParams(args.beta)
+    detections = gate(read_summary(args.volume), params, Path(args.volume).stem)
     if args.out is None:
         from .annotation_io import detections_to_dict
 
@@ -188,19 +198,14 @@ def _cmd_loss(args) -> int:
     return 0
 
 
-def _decoded_frames(pairs, beta):
-    params = DecodeParams(beta)
-    return [
-        (decode(volume, params, ann.frame_id), ann) for volume, ann in pairs
-    ]
-
-
 def _cmd_eval(args) -> int:
-    pairs = _load_pairs(args.pred_dir, args.gt_dir, _workers())
-    report = evaluate(
-        _decoded_frames(pairs, args.beta),
-        EvalParams(tolerance_px=args.tolerance, beta=args.beta),
-    )
+    decode_params = DecodeParams(args.beta)
+    eval_params = EvalParams(tolerance_px=args.tolerance, beta=args.beta)
+    frames = [
+        (gate(summary, decode_params, ann.frame_id), ann)
+        for summary, ann in _load_pairs(args.pred_dir, args.gt_dir, _workers())
+    ]
+    report = evaluate(frames, eval_params)
     if args.out is None:
         print(json.dumps(report_to_dict(report), indent=2))
     else:
@@ -215,12 +220,17 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    pairs = _load_pairs(args.pred_dir, args.gt_dir, _workers())
+    # every argument is checked before any volume is read
     grid = parse_grid(args.grid)
     if args.mode == "beta":
-        curve = beta_sweep(pairs, grid, tolerance_px=args.tolerance)
+        check_beta_grid(grid)
+        EvalParams(tolerance_px=args.tolerance)
+        sweep = partial(beta_sweep, betas=grid, tolerance_px=args.tolerance)
     else:
-        curve = tolerance_sweep(pairs, args.beta, grid)
+        check_tolerance_grid(grid)
+        DecodeParams(args.beta)
+        sweep = partial(tolerance_sweep, beta=args.beta, tolerances_px=grid)
+    curve = sweep(_load_pairs(args.pred_dir, args.gt_dir, _workers()))
     write_sweep_csv(curve, args.out)
     print(f"wrote {len(curve)} sweep rows to {args.out}")
     return 0
@@ -362,7 +372,6 @@ _FAILURES: tuple[tuple[type[Exception], int, str], ...] = (
     (ShapeError, 4, "validation"),
     (SamplingError, 7, "sampling"),
     (DegeneracyError, 6, "estimation"),
-    (InsufficientConstraintsError, 6, "estimation"),
     (NoModelError, 6, "estimation"),
     (ProjectiveError, 6, "estimation"),
     (NumericError, 6, "estimation"),

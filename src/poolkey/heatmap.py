@@ -2,7 +2,8 @@
 
 Covers the delta/flat training targets, softmax normalization of raw logits,
 the summed cross-entropy loss in nats, per-channel Shannon entropy, the
-entropy-gated argmax decoder, and the little-endian binary volume file.
+entropy-gated argmax decoder (a per-frame channel summary and the gate over
+it), and the little-endian binary volume file.
 """
 
 from __future__ import annotations
@@ -10,8 +11,10 @@ from __future__ import annotations
 import logging
 import math
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -37,6 +40,7 @@ LOG_CLAMP = 1e-12
 VOLUME_MAGIC = b"PKHV"
 VOLUME_VERSION = 1
 _HEADER = struct.Struct("<IIII")  # version, rows, cols, channels
+_PAYLOAD_OFFSET = len(VOLUME_MAGIC) + _HEADER.size
 
 
 @dataclass(frozen=True)
@@ -128,17 +132,8 @@ class HeatmapVolume:
             raise ShapeError(f"expected channels x rows x cols, got shape {arr.shape}")
         if arr.shape[1] < 1 or arr.shape[2] < 1:
             raise ShapeError("volume planes must be non-empty")
-        if not np.isfinite(arr).all():
-            raise NumericError("volume contains non-finite values")
-        if (arr < 0).any():
-            raise ValidationError("volume contains negative values")
-        sums = arr.sum(axis=(1, 2))
-        worst = int(np.abs(sums - 1.0).argmax())
-        if abs(sums[worst] - 1.0) > CHANNEL_SUM_TOLERANCE:
-            raise ValidationError(
-                f"channel {worst} sums to {sums[worst]!r}, expected 1 within "
-                f"{CHANNEL_SUM_TOLERANCE}"
-            )
+        for _ in _checked_planes(arr):
+            pass
         arr.setflags(write=False)
         self.data = arr
 
@@ -156,6 +151,35 @@ class HeatmapVolume:
 
     def channel(self, index: int) -> np.ndarray:
         return self.data[index]
+
+
+def _checked_planes(planes: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
+    """Validate a volume one float64 channel at a time, yielding the clean ones.
+
+    The errors keep the precedence of a check over the whole volume: a
+    non-finite value in any channel raises NumericError before a negative
+    value in any channel raises ValidationError, which comes before the
+    channel whose sum is furthest from one. Channels after the first negative
+    value are still checked for non-finite values, but no longer yielded.
+    """
+    sums = []
+    negative = False
+    for plane in planes:
+        if not np.isfinite(plane).all():
+            raise NumericError("volume contains non-finite values")
+        negative = negative or bool((plane < 0).any())
+        if not negative:
+            sums.append(plane.sum())
+            yield plane
+    if negative:
+        raise ValidationError("volume contains negative values")
+    sums = np.array(sums)
+    worst = int(np.abs(sums - 1.0).argmax())
+    if abs(sums[worst] - 1.0) > CHANNEL_SUM_TOLERANCE:
+        raise ValidationError(
+            f"channel {worst} sums to {sums[worst]!r}, expected 1 within "
+            f"{CHANNEL_SUM_TOLERANCE}"
+        )
 
 
 def nearest_cell(coord: float, limit: int) -> int:
@@ -211,8 +235,11 @@ def channel_entropy(channel) -> float:
     arr = np.asarray(channel, dtype=np.float64)
     if (arr < 0).any():
         raise ValidationError("channel contains negative entries")
-    positive = arr[arr > 0]
-    return float(-(positive * np.log(positive)).sum())
+    # every cell of a typical detector channel is positive: skip the copy then
+    positive = arr.ravel() if arr.all() else arr[arr > 0]
+    terms = np.log(positive)
+    terms *= positive
+    return float(-terms.sum())
 
 
 @dataclass(frozen=True)
@@ -226,6 +253,59 @@ class DecodeParams:
             raise ValidationError(f"beta must lie in [0, 1], got {self.beta}")
 
 
+@dataclass(frozen=True)
+class ChannelSummary:
+    """What the entropy gate needs from one volume, none of which depends on beta.
+
+    Per channel: its entropy in nats and its argmax cell as a row-major
+    index, ties resolved to the smallest index.
+    """
+
+    rows: int
+    cols: int
+    entropies: tuple[float, ...]
+    cells: tuple[int, ...]
+
+    def __post_init__(self):
+        if len(self.entropies) != CHANNEL_COUNT:
+            raise ValidationError(
+                f"decoding requires {CHANNEL_COUNT} channels, volume has "
+                f"{len(self.entropies)}"
+            )
+
+
+def _summarize_planes(rows: int, cols: int, planes) -> ChannelSummary:
+    entropies, cells = [], []
+    for plane in planes:
+        entropies.append(channel_entropy(plane))
+        cells.append(int(plane.argmax()))
+    return ChannelSummary(rows, cols, tuple(entropies), tuple(cells))
+
+
+def summarize(volume: HeatmapVolume) -> ChannelSummary:
+    """Each channel's entropy and argmax cell."""
+    return _summarize_planes(volume.rows, volume.cols, volume.data)
+
+
+def gate(
+    summary: ChannelSummary, params: DecodeParams, frame_id: str = ""
+) -> DetectionSet:
+    """Keep each channel whose entropy is strictly below beta * ln(rows * cols).
+
+    A kept channel is detected at its argmax cell, as (u=column, v=row) at
+    volume resolution.
+    """
+    threshold = params.beta * math.log(summary.rows * summary.cols)
+    detections = []
+    for index, (entropy, cell) in enumerate(zip(summary.entropies, summary.cells)):
+        if entropy < threshold:
+            row, col = divmod(cell, summary.cols)
+            detections.append(
+                Detection(keypoint_for_channel(index), float(col), float(row), entropy)
+            )
+    return DetectionSet(frame_id, summary.rows, summary.cols, tuple(detections))
+
+
 def decode(
     volume: HeatmapVolume, params: DecodeParams, frame_id: str = ""
 ) -> DetectionSet:
@@ -236,21 +316,7 @@ def decode(
     row-major cell index; coordinates are (u=column, v=row) at volume
     resolution.
     """
-    if volume.channels != CHANNEL_COUNT:
-        raise ValidationError(
-            f"decoding requires {CHANNEL_COUNT} channels, volume has {volume.channels}"
-        )
-    gate = params.beta * math.log(volume.rows * volume.cols)
-    detections = []
-    for index in range(volume.channels):
-        plane = volume.data[index]
-        entropy = channel_entropy(plane)
-        if entropy < gate:
-            row, col = divmod(int(plane.argmax()), volume.cols)
-            detections.append(
-                Detection(keypoint_for_channel(index), float(col), float(row), entropy)
-            )
-    return DetectionSet(frame_id, volume.rows, volume.cols, tuple(detections))
+    return gate(summarize(volume), params, frame_id)
 
 
 def write_volume(volume: HeatmapVolume, path: str | Path) -> None:
@@ -263,13 +329,14 @@ def write_volume(volume: HeatmapVolume, path: str | Path) -> None:
         handle.write(volume.data.astype("<f4").tobytes())
 
 
-def read_volume(path: str | Path) -> HeatmapVolume:
+def _read_payload(path: str | Path) -> np.ndarray:
+    """Check a volume file's header and size; return its float32 payload."""
     blob = Path(path).read_bytes()
     if len(blob) < 4 or blob[:4] != VOLUME_MAGIC:
         raise FormatError(
             f"bad magic {blob[:4]!r}, expected {VOLUME_MAGIC!r}", offset=0
         )
-    if len(blob) < 20:
+    if len(blob) < _PAYLOAD_OFFSET:
         raise FormatError("truncated header", offset=len(blob))
     version, rows, cols, channels = _HEADER.unpack_from(blob, 4)
     if version != VOLUME_VERSION:
@@ -280,7 +347,7 @@ def read_volume(path: str | Path) -> HeatmapVolume:
         raise FormatError("cols must be positive", offset=12)
     if channels == 0:
         raise FormatError("channels must be positive", offset=16)
-    expected = 20 + 4 * rows * cols * channels
+    expected = _PAYLOAD_OFFSET + 4 * rows * cols * channels
     if len(blob) < expected:
         raise FormatError(
             f"payload truncated: expected {expected} bytes, file has {len(blob)}",
@@ -295,5 +362,45 @@ def read_volume(path: str | Path) -> HeatmapVolume:
             channels,
             CHANNEL_COUNT,
         )
-    data = np.frombuffer(blob, dtype="<f4", offset=20).reshape(channels, rows, cols)
-    return HeatmapVolume(data)
+    return np.frombuffer(blob, dtype="<f4", offset=_PAYLOAD_OFFSET).reshape(
+        channels, rows, cols
+    )
+
+
+@contextmanager
+def _non_finite_is_bad_bytes(payload: np.ndarray):
+    """Report a NaN or infinity read from a file as a format error at its offset."""
+    try:
+        yield
+    except NumericError:
+        first = int(np.isfinite(payload).argmin())
+        raise FormatError(
+            "non-finite value in payload", offset=_PAYLOAD_OFFSET + 4 * first
+        ) from None
+
+
+def read_volume(path: str | Path) -> HeatmapVolume:
+    payload = _read_payload(path)
+    with _non_finite_is_bad_bytes(payload):
+        return HeatmapVolume(payload)
+
+
+def read_summary(path: str | Path) -> ChannelSummary:
+    """The summary of a volume file, validated as read_volume validates it.
+
+    Walks the float32 payload one channel at a time, so that at most one
+    channel is held as float64.
+    """
+    payload = _read_payload(path)
+    _, rows, cols = payload.shape
+    with _non_finite_is_bad_bytes(payload):
+        planes = _checked_planes(_float64_planes(payload))
+        return _summarize_planes(rows, cols, planes)
+
+
+def _float64_planes(payload: np.ndarray) -> Iterator[np.ndarray]:
+    """Each channel upcast into one reused buffer, valid until the next step."""
+    plane = np.empty(payload.shape[1:])
+    for channel in payload:
+        np.copyto(plane, channel)
+        yield plane

@@ -19,11 +19,13 @@ from typing import Iterable, Sequence
 
 from .errors import ShapeError, ValidationError
 from .heatmap import (
+    ChannelSummary,
     DecodeParams,
     DetectionSet,
     FrameAnnotation,
     HeatmapVolume,
-    decode,
+    gate,
+    summarize,
 )
 from .model import CHANNEL_IDS, CLASS_ORDER, KeyPointClass, KeyPointId
 
@@ -185,28 +187,46 @@ def evaluate(
     )
 
 
-def beta_sweep(
-    volumes_gt: Sequence[tuple[HeatmapVolume, FrameAnnotation]],
-    betas: Sequence[float],
-    tolerance_px: float = 5.0,
-) -> list[tuple[float, float]]:
-    """mean F1 as a function of the entropy gate strength."""
+def check_beta_grid(betas: Sequence[float]) -> None:
+    """Reject a beta grid value outside [0, 1]."""
     for beta in betas:
         if not 0.0 <= beta <= 1.0:
             raise ValidationError(f"beta grid value {beta} outside [0, 1]")
+
+
+def check_tolerance_grid(tolerances_px: Sequence[float]) -> None:
+    """Reject a tolerance grid value that is not positive."""
+    for tolerance in tolerances_px:
+        if tolerance <= 0:
+            raise ValidationError(f"tolerance grid value {tolerance} must be positive")
+
+
+def _summarized(frame: HeatmapVolume | ChannelSummary) -> ChannelSummary:
+    return frame if isinstance(frame, ChannelSummary) else summarize(frame)
+
+
+def beta_sweep(
+    volumes_gt: Sequence[tuple[HeatmapVolume | ChannelSummary, FrameAnnotation]],
+    betas: Sequence[float],
+    tolerance_px: float = 5.0,
+) -> list[tuple[float, float]]:
+    """mean F1 as a function of the entropy gate strength.
+
+    Each frame is summarized once and gated at every beta.
+    """
+    check_beta_grid(betas)
+    summaries = [(_summarized(frame), ann) for frame, ann in volumes_gt]
     curve = []
     for beta in betas:
-        pairs = [
-            (decode(volume, DecodeParams(beta), frame_id=ann.frame_id), ann)
-            for volume, ann in volumes_gt
-        ]
+        params = DecodeParams(beta)
+        pairs = [(gate(s, params, ann.frame_id), ann) for s, ann in summaries]
         report = evaluate(pairs, EvalParams(tolerance_px=tolerance_px, beta=beta))
         curve.append((float(beta), report.mean_f1))
     return curve
 
 
 def tolerance_sweep(
-    volumes_gt: Sequence[tuple[HeatmapVolume, FrameAnnotation]],
+    volumes_gt: Sequence[tuple[HeatmapVolume | ChannelSummary, FrameAnnotation]],
     beta: float,
     tolerances_px: Sequence[float],
 ) -> list[tuple[float, float]]:
@@ -215,12 +235,11 @@ def tolerance_sweep(
     The gate strength is typically the best beta for the pool type being
     evaluated.
     """
-    for tolerance in tolerances_px:
-        if tolerance <= 0:
-            raise ValidationError(f"tolerance grid value {tolerance} must be positive")
+    check_tolerance_grid(tolerances_px)
+    params = DecodeParams(beta)
     pairs = [
-        (decode(volume, DecodeParams(beta), frame_id=ann.frame_id), ann)
-        for volume, ann in volumes_gt
+        (gate(_summarized(frame), params, ann.frame_id), ann)
+        for frame, ann in volumes_gt
     ]
     curve = []
     for tolerance in tolerances_px:

@@ -1,10 +1,14 @@
 """Command-line behavior: exit codes, file plumbing, output shapes."""
 
 import json
+import shutil
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from poolkey import (
+    FrameAnnotation,
     PoolConfig,
     SynthParams,
     build_base_model,
@@ -12,6 +16,7 @@ from poolkey import (
     read_annotation,
     read_detections,
     read_model,
+    write_annotation,
     write_model,
     write_volume,
 )
@@ -402,3 +407,86 @@ def test_parse_grid_errors():
     for bad in ("0:1", "0:1:0", "1:0:0.5", "a:b:c"):
         with pytest.raises(ValidationError):
             parse_grid(bad)
+
+
+def _nan_volume(path, channel=3, cell=5) -> int:
+    """A 96x4x4 volume file with one NaN; returns the NaN's byte offset."""
+    data = np.full((96, 4, 4), 1.0 / 16, dtype="<f4")
+    data[channel].flat[cell] = np.nan
+    header = b"".join(v.to_bytes(4, "little") for v in (1, 4, 4, 96))
+    path.write_bytes(b"PKHV" + header + data.tobytes())
+    return 20 + 4 * (channel * 16 + cell)
+
+
+def test_non_finite_volume_is_a_format_error(tmp_path, capsys):
+    volumes, annotations = tmp_path / "v", tmp_path / "a"
+    volumes.mkdir()
+    annotations.mkdir()
+    offset = _nan_volume(volumes / "f.pkhv")
+    write_annotation(FrameAnnotation("f", 4, 4), annotations / "f.json")
+    for argv in (
+        ["decode", "--volume", str(volumes / "f.pkhv")],
+        ["eval", "--pred-dir", str(volumes), "--gt-dir", str(annotations)],
+    ):
+        assert main(argv) == 5
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: format: non-finite value in payload (byte offset {offset})\n"
+        )
+
+
+def test_arguments_are_checked_before_volumes_are_read(workspace, tmp_path, capsys):
+    volumes, annotations = tmp_path / "v", tmp_path / "a"
+    shutil.copytree(workspace / "data" / "volumes", volumes)
+    shutil.copytree(workspace / "data" / "annotations", annotations)
+    (volumes / "corrupt.pkhv").write_bytes(b"NOPE" + bytes(16))
+    shutil.copy(annotations / "scene_0000.json", annotations / "corrupt.json")
+    dirs = ["--pred-dir", str(volumes), "--gt-dir", str(annotations)]
+    sweep = ["sweep", *dirs, "--out", str(tmp_path / "curve.csv"), "--mode"]
+    rejected = [
+        ("a:b:step", [*sweep, "beta", "--grid", "0:1"]),
+        ("beta grid value 2.0", [*sweep, "beta", "--grid", "0:2:1"]),
+        ("tolerance grid value 0.0", [*sweep, "tolerance", "--grid", "0:2:1"]),
+        ("tolerance_px", [*sweep, "beta", "--grid", "0:1:0.5", "--tolerance", "0"]),
+        ("beta must lie", [*sweep, "tolerance", "--grid", "1:2:1", "--beta", "2"]),
+        ("beta must lie", ["eval", "--beta", "2", *dirs]),
+        ("tolerance_px", ["eval", "--tolerance", "-1", *dirs]),
+    ]
+    for message, argv in rejected:
+        assert main(argv) == 4, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: validation:") and message in err, err
+    # with valid arguments the corrupt volume is read, and fails as a format error
+    for argv in (["eval", *dirs], [*sweep, "beta", "--grid", "0:1:0.5"]):
+        assert main(argv) == 5
+        assert "bad magic" in capsys.readouterr().err
+
+
+def test_eval_memory_does_not_grow_with_the_frame_count(
+    workspace, tmp_path, capsys, monkeypatch
+):
+    monkeypatch.setenv("POOL_THREADS", "1")
+    model = str(workspace / "model.json")
+    many = tmp_path / "many"
+    synth = ["synth", "--model", model, "--count", "6", "--rows", "72"]
+    assert main([*synth, "--cols", "128", "--seed", "5", "--out", str(many)]) == 0
+    one = tmp_path / "one"
+    for sub, suffix in (("volumes", ".pkhv"), ("annotations", ".json")):
+        (one / sub).mkdir(parents=True)
+        shutil.copy(many / sub / f"scene_0000{suffix}", one / sub)
+
+    def peak(root):
+        argv = ["eval", "--pred-dir", str(root / "volumes"), "--gt-dir",
+                str(root / "annotations"), "--out", str(tmp_path / "r.json")]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(one)  # first call: lazy imports and caches stay out of the comparison
+    single, six = peak(one), peak(many)
+    capsys.readouterr()
+    assert six <= 1.5 * single, (single, six)
+    assert single < 96 * 72 * 128 * 8  # never a whole volume as float64
