@@ -5,21 +5,12 @@ from __future__ import annotations
 import json
 import math
 import xml.etree.ElementTree as ET
+from dataclasses import fields
 from pathlib import Path
 
 from .errors import FormatError, ValidationError
 from .heatmap import AnnotationPoint, Detection, DetectionSet, FrameAnnotation
-from .model import KeyPointId
-
-
-def _require(data: dict, field: str, kind, context: str):
-    if field not in data:
-        raise ValidationError(f'{context}: missing field "{field}"')
-    value = data[field]
-    # bool passes isinstance(int) checks, which is never what a count means
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise ValidationError(f'{context}: field "{field}" has the wrong type')
-    return value
+from .model import KeyPointId, _read_json, _require
 
 
 def _point_id(entry: dict, context: str) -> KeyPointId:
@@ -31,81 +22,56 @@ def _point_id(entry: dict, context: str) -> KeyPointId:
         raise ValidationError(f"{context}: {exc}") from None
 
 
+def _value_fields(point_type) -> list[str]:
+    """A point type's fields after its identity, in declaration order."""
+    return [f.name for f in fields(point_type) if f.name != "kp"]
+
+
 def annotation_to_dict(ann: FrameAnnotation) -> dict:
+    """Each point as its class and index, then its other fields (u, v[, entropy])."""
     return {
         "frame_id": ann.frame_id,
         "rows": ann.rows,
         "cols": ann.cols,
         "points": [
-            {"class": p.kp.cls.value, "index": p.kp.index, "u": p.u, "v": p.v}
+            {
+                "class": p.kp.cls.value,
+                "index": p.kp.index,
+                **{name: getattr(p, name) for name in _value_fields(p)},
+            }
             for p in ann.points
         ],
     }
 
 
-def annotation_from_dict(data: dict) -> FrameAnnotation:
-    context = "annotation"
+detections_to_dict = annotation_to_dict
+
+
+def _frame_from_dict(data: dict, context: str, frame_type, point_type):
     frame_id = _require(data, "frame_id", str, context)
     rows = _require(data, "rows", int, context)
     cols = _require(data, "cols", int, context)
     raw_points = _require(data, "points", list, context)
+    names = _value_fields(point_type)
     points = []
     for entry in raw_points:
         if not isinstance(entry, dict):
             raise ValidationError(f'{context}: field "points" holds a non-object')
         kp = _point_id(entry, context)
-        u = _require(entry, "u", (int, float), f"{context} point {kp.label}")
-        v = _require(entry, "v", (int, float), f"{context} point {kp.label}")
-        points.append(AnnotationPoint(kp, float(u), float(v)))
-    return FrameAnnotation(frame_id, rows, cols, tuple(points))
+        where = f"{context} point {kp.label}"
+        values = {
+            name: float(_require(entry, name, (int, float), where)) for name in names
+        }
+        points.append(point_type(kp, **values))
+    return frame_type(frame_id, rows, cols, tuple(points))
 
 
-def detections_to_dict(dets: DetectionSet) -> dict:
-    return {
-        "frame_id": dets.frame_id,
-        "rows": dets.rows,
-        "cols": dets.cols,
-        "points": [
-            {
-                "class": d.kp.cls.value,
-                "index": d.kp.index,
-                "u": d.u,
-                "v": d.v,
-                "entropy": d.entropy,
-            }
-            for d in dets.detections
-        ],
-    }
+def annotation_from_dict(data: dict) -> FrameAnnotation:
+    return _frame_from_dict(data, "annotation", FrameAnnotation, AnnotationPoint)
 
 
 def detections_from_dict(data: dict) -> DetectionSet:
-    context = "detections"
-    frame_id = _require(data, "frame_id", str, context)
-    rows = _require(data, "rows", int, context)
-    cols = _require(data, "cols", int, context)
-    raw_points = _require(data, "points", list, context)
-    detections = []
-    for entry in raw_points:
-        if not isinstance(entry, dict):
-            raise ValidationError(f'{context}: field "points" holds a non-object')
-        kp = _point_id(entry, context)
-        where = f"{context} point {kp.label}"
-        u = _require(entry, "u", (int, float), where)
-        v = _require(entry, "v", (int, float), where)
-        entropy = _require(entry, "entropy", (int, float), where)
-        detections.append(Detection(kp, float(u), float(v), float(entropy)))
-    return DetectionSet(frame_id, rows, cols, tuple(detections))
-
-
-def _read_json(path: str | Path) -> dict:
-    text = Path(path).read_text()
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: {exc}") from None
-    if not isinstance(data, dict):
-        raise ValidationError(f"{path}: top level must be an object")
-    return data
+    return _frame_from_dict(data, "detections", DetectionSet, Detection)
 
 
 def read_annotation(path: str | Path) -> FrameAnnotation:
@@ -145,6 +111,15 @@ def parse_cvat(xml_text: str) -> list[FrameAnnotation]:
             raise ValidationError(
                 "image element needs name, width, and height attributes"
             )
+        try:
+            rows, cols = int(height), int(width)
+        except ValueError:
+            rows = cols = 0
+        if rows < 1 or cols < 1:
+            raise ValidationError(
+                f"image {name!r}: width {width!r} and height {height!r} must be "
+                "positive integers"
+            )
         points = []
         seen = set()
         for shape in image.findall("points"):
@@ -173,9 +148,7 @@ def parse_cvat(xml_text: str) -> list[FrameAnnotation]:
                     f"coordinates {raw!r}"
                 ) from None
             points.append(AnnotationPoint(kp, u, v))
-        annotations.append(
-            FrameAnnotation(name, int(height), int(width), tuple(points))
-        )
+        annotations.append(FrameAnnotation(name, rows, cols, tuple(points)))
     return annotations
 
 

@@ -11,17 +11,16 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from pathlib import Path
 
 from .annotation_io import (
+    detections_to_dict,
     read_annotation,
     read_cvat,
     read_detections,
     rescale_annotation,
     write_annotation,
-    write_detections,
 )
 from .errors import (
     ConfigError,
@@ -54,8 +53,14 @@ from .metrics import (
     write_report_json,
     write_sweep_csv,
 )
-from .model import PoolConfig, build_base_model, model_to_dict, read_model, write_model
-from .synth import CameraJitter, NoiseParams, SynthParams, generate_dataset
+from .model import PoolConfig, build_base_model, model_to_dict, read_model
+from .synth import (
+    CameraJitter,
+    NoiseParams,
+    SynthParams,
+    generate_dataset,
+    thread_map,
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -79,13 +84,6 @@ def _workers() -> int:
     if value == 0:
         return os.cpu_count() or 1
     return value
-
-
-def _map(fn, items, workers):
-    if workers > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
 
 
 def parse_grid(text: str) -> list[float]:
@@ -134,7 +132,7 @@ def _load_pairs(pred_dir: str, gt_dir: str, workers: int):
         volume_path, annotation_path = pair
         return read_summary(volume_path), read_annotation(annotation_path)
 
-    return _map(load, _pair_files(pred_dir, gt_dir), workers)
+    return thread_map(load, _pair_files(pred_dir, gt_dir), workers)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -152,10 +150,7 @@ def _cmd_model(args) -> int:
         lanes=args.lanes, length_m=args.length, bumpers=args.bumpers, bulkhead=bulkhead
     )
     model = build_base_model(config)
-    if args.out is None:
-        print(json.dumps(model_to_dict(model), indent=2))
-    else:
-        write_model(model, args.out)
+    _emit(json.dumps(model_to_dict(model), indent=2), args.out)
     return 0
 
 
@@ -182,12 +177,7 @@ def _cmd_synth(args) -> int:
 def _cmd_decode(args) -> int:
     params = DecodeParams(args.beta)
     detections = gate(read_summary(args.volume), params, Path(args.volume).stem)
-    if args.out is None:
-        from .annotation_io import detections_to_dict
-
-        print(json.dumps(detections_to_dict(detections), indent=2))
-    else:
-        write_detections(detections, args.out)
+    _emit(json.dumps(detections_to_dict(detections), indent=2), args.out)
     return 0
 
 
@@ -366,7 +356,6 @@ _FAILURES: tuple[tuple[type[Exception], int, str], ...] = (
     (NotADirectoryError, 3, "missing-file"),
     (IsADirectoryError, 3, "missing-file"),
     (FormatError, 5, "format"),
-    (json.JSONDecodeError, 5, "format"),
     (ConfigError, 4, "validation"),
     (ValidationError, 4, "validation"),
     (ShapeError, 4, "validation"),

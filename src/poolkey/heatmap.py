@@ -50,9 +50,20 @@ class AnnotationPoint:
     v: float
 
 
+@dataclass(frozen=True)
+class Detection(AnnotationPoint):
+    """A decoded key-point: an annotation point plus its channel's entropy."""
+
+    entropy: float
+
+    def __post_init__(self):
+        if not math.isfinite(self.entropy) or self.entropy < -1e-9:
+            raise ValidationError(f"{self.kp.label} has invalid entropy")
+
+
 @dataclass
 class FrameAnnotation:
-    """Ground-truth key-point locations for one frame, in pixel units."""
+    """Key-points for one frame, at most one per identity, in pixel units."""
 
     frame_id: str
     rows: int
@@ -62,11 +73,11 @@ class FrameAnnotation:
     def __post_init__(self):
         self.points = tuple(self.points)
         if self.rows < 1 or self.cols < 1:
-            raise ValidationError("annotation needs positive rows and cols")
+            raise ValidationError("frame needs positive rows and cols")
         seen = set()
         for pt in self.points:
             if pt.kp in seen:
-                raise ValidationError(f"duplicate annotation for {pt.kp.label}")
+                raise ValidationError(f"duplicate point for {pt.kp.label}")
             seen.add(pt.kp)
             if not (0 <= pt.u < self.cols and 0 <= pt.v < self.rows):
                 raise ValidationError(
@@ -79,43 +90,12 @@ class FrameAnnotation:
         return {pt.kp: pt for pt in self.points}
 
 
-@dataclass(frozen=True)
-class Detection:
-    kp: KeyPointId
-    u: float
-    v: float
-    entropy: float
-
-
-@dataclass
-class DetectionSet:
-    """Decoder output for one frame: at most one detection per channel."""
-
-    frame_id: str
-    rows: int
-    cols: int
-    detections: tuple[Detection, ...] = ()
-
-    def __post_init__(self):
-        self.detections = tuple(self.detections)
-        if self.rows < 1 or self.cols < 1:
-            raise ValidationError("detection set needs positive rows and cols")
-        seen = set()
-        for det in self.detections:
-            if det.kp in seen:
-                raise ValidationError(f"duplicate detection for {det.kp.label}")
-            seen.add(det.kp)
-            if not (0 <= det.u < self.cols and 0 <= det.v < self.rows):
-                raise ValidationError(
-                    f"{det.kp.label} at (u={det.u}, v={det.v}) is outside "
-                    f"{self.rows}x{self.cols}"
-                )
-            if not math.isfinite(det.entropy) or det.entropy < -1e-9:
-                raise ValidationError(f"{det.kp.label} has invalid entropy")
+class DetectionSet(FrameAnnotation):
+    """Decoder output for one frame: a frame whose points are Detections."""
 
     @property
-    def by_id(self) -> dict[KeyPointId, Detection]:
-        return {det.kp: det for det in self.detections}
+    def detections(self) -> tuple[Detection, ...]:
+        return self.points
 
 
 class HeatmapVolume:

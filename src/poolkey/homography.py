@@ -224,7 +224,6 @@ class RansacParams:
     iterations: int = 1000
     inlier_threshold_px: float = 3.0
     seed: int = 0
-    min_sample: int | None = None  # default: smallest prefix giving 8 equations
 
     def __post_init__(self):
         if self.iterations < 1:
@@ -233,8 +232,6 @@ class RansacParams:
             raise ValidationError("inlier_threshold_px must be positive")
         if self.seed < 0:
             raise ValidationError("seed must be non-negative")
-        if self.min_sample is not None and self.min_sample < 1:
-            raise ValidationError("min_sample must be at least 1")
 
 
 def estimate_ransac(
@@ -260,11 +257,8 @@ def estimate_ransac(
     best_mask: np.ndarray | None = None
     for _ in range(params.iterations):
         order = rng.permutation(len(corrs))
-        if params.min_sample is not None:
-            sample = order[: params.min_sample]
-        else:
-            cumulative = np.cumsum(equations[order])
-            sample = order[: int(np.searchsorted(cumulative, MIN_EQUATIONS) + 1)]
+        cumulative = np.cumsum(equations[order])
+        sample = order[: int(np.searchsorted(cumulative, MIN_EQUATIONS) + 1)]
         try:
             candidate = estimate_dlt([corrs[i] for i in sample])
         except (DegeneracyError, InsufficientConstraintsError):

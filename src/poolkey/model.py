@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import ConfigError, ValidationError
+from .errors import ConfigError, FormatError, ValidationError
 
 
 class KeyPointClass(enum.Enum):
@@ -362,26 +362,46 @@ def model_to_dict(model: BasePoolModel) -> dict:
     return {"config": config_doc, "entries": entries}
 
 
-def model_from_dict(doc: dict) -> BasePoolModel:
-    if not isinstance(doc, dict) or "config" not in doc or "entries" not in doc:
-        raise ValidationError("model document needs 'config' and 'entries' fields")
-    cfg = doc["config"]
-    if not isinstance(cfg, dict):
-        raise ValidationError("field config must be an object")
+def _require(data: dict, field: str, kind, context: str):
+    if field not in data:
+        raise ValidationError(f'{context}: missing field "{field}"')
+    value = data[field]
+    # bool passes isinstance(int) checks, which is never what a count means
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValidationError(f'{context}: field "{field}" has the wrong type')
+    return value
+
+
+def _read_json(path: str | Path) -> dict:
+    text = Path(path).read_text()
     try:
-        config = PoolConfig(
-            lanes=cfg["lanes"],
-            length_m=cfg["length_m"],
-            bumpers=cfg.get("bumpers", True),
-            bulkhead=cfg.get("bulkhead", False),
-            lane_width_m=cfg.get("lane_width_m", 2.5),
-            bumper_width_m=cfg.get("bumper_width_m", 0.25),
-            bulkhead_x_m=cfg.get("bulkhead_x_m"),
-        )
-    except KeyError as exc:
-        raise ValidationError(f"missing config field: {exc.args[0]}") from None
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{path}: {exc}") from None
+    if not isinstance(data, dict):
+        raise ValidationError(f"{path}: top level must be an object")
+    return data
+
+
+def model_from_dict(doc: dict) -> BasePoolModel:
+    if not isinstance(doc, dict):
+        raise ValidationError("model document must be an object")
+    cfg = _require(doc, "config", dict, "model")
+    items = _require(doc, "entries", list, "model")
+    sizes = {
+        name: _require(cfg, name, (int, float), "model config")
+        for name in ("lane_width_m", "bumper_width_m", "bulkhead_x_m")
+        if cfg.get(name) is not None
+    }
+    config = PoolConfig(
+        lanes=_require(cfg, "lanes", int, "model config"),
+        length_m=_require(cfg, "length_m", int, "model config"),
+        bumpers=cfg.get("bumpers", True),
+        bulkhead=cfg.get("bulkhead", False),
+        **sizes,
+    )
     entries: dict[KeyPointId, ModelEntry] = {}
-    for item in doc["entries"]:
+    for item in items:
         if not isinstance(item, dict):
             raise ValidationError("each entry must be an object")
         try:
@@ -396,10 +416,14 @@ def model_from_dict(doc: dict) -> BasePoolModel:
             continue
         try:
             kind = LocationKind(item["kind"])
-            location = BaseLocation(kind, item.get("x_m"), item["y_m"])
         except (KeyError, ValueError) as exc:
             raise ValidationError(f"bad location for {kp.label}: {exc}") from None
-        entries[kp] = ModelEntry(True, location)
+        where = f"model entry {kp.label}"
+        x_m = item.get("x_m")
+        if x_m is not None:
+            x_m = _require(item, "x_m", (int, float), where)
+        y_m = _require(item, "y_m", (int, float), where)
+        entries[kp] = ModelEntry(True, BaseLocation(kind, x_m, y_m))
     return BasePoolModel(config=config, entries=entries)
 
 
@@ -409,5 +433,4 @@ def write_model(model: BasePoolModel, path: str | Path) -> None:
 
 
 def read_model(path: str | Path) -> BasePoolModel:
-    doc = json.loads(Path(path).read_text())
-    return model_from_dict(doc)
+    return model_from_dict(_read_json(path))

@@ -18,7 +18,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import SamplingError, ShapeError, ValidationError
+from .errors import (
+    DegeneracyError,
+    NumericError,
+    SamplingError,
+    ShapeError,
+    ValidationError,
+)
 from .heatmap import (
     CHANNEL_COUNT,
     AnnotationPoint,
@@ -39,6 +45,8 @@ from .model import (
 )
 
 _RETRY_BUDGET = 200
+# what Homography(...) and estimate_dlt raise for a camera unfit to use
+_UNUSABLE_CAMERA = (DegeneracyError, NumericError, ValidationError)
 
 
 @dataclass(frozen=True)
@@ -99,6 +107,14 @@ class SynthScene:
     homography_gt: Homography  # frame pixels -> base pixels
     annotation: FrameAnnotation
     volume: HeatmapVolume
+
+
+def thread_map(fn, items, workers: int) -> list:
+    """fn over items in input order, on up to `workers` threads."""
+    if workers > 1 and len(items) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, items))
+    return [fn(item) for item in items]
 
 
 def scene_rng(seed: int, index: int) -> np.random.Generator:
@@ -231,7 +247,7 @@ def _scene_usable(
         projected.append(p)
     try:
         camera = Homography(matrix)
-    except Exception:
+    except _UNUSABLE_CAMERA:
         return False
     if clipped_side is None:
         if not all(0 <= u <= cols - 1 and 0 <= v <= rows - 1 for u, v in projected):
@@ -250,7 +266,7 @@ def _scene_usable(
     corrs, _ = build_correspondences(perfect_detections(ann), model, scale)
     try:
         estimate_dlt(corrs)
-    except Exception:
+    except _UNUSABLE_CAMERA:
         return False
     return True
 
@@ -411,11 +427,7 @@ def generate_dataset(
             "homography_path": homography_path,
         }
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            scenes = list(pool.map(build, range(count)))
-    else:
-        scenes = [build(i) for i in range(count)]
+    scenes = thread_map(build, range(count), workers)
     manifest = {"params": asdict(params), "scenes": scenes}
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
     return manifest

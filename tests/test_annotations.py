@@ -73,6 +73,14 @@ def test_detections_round_trip(tmp_path):
     assert read_detections(path) == det
 
 
+def test_point_keys_keep_the_file_order():
+    det = DetectionSet("f", 4, 4, (Detection(WL0, 1.0, 2.0, 0.5),))
+    doc = detections_to_dict(det)
+    assert list(doc["points"][0]) == ["class", "index", "u", "v", "entropy"]
+    doc = annotation_to_dict(_sample_annotation())
+    assert list(doc["points"][0]) == ["class", "index", "u", "v"]
+
+
 def test_missing_fields_are_named():
     with pytest.raises(ValidationError, match='"points"'):
         annotation_from_dict({"frame_id": "f", "rows": 4, "cols": 4})
@@ -156,6 +164,12 @@ def test_parse_cvat_malformed_xml_reports_position():
 def test_parse_cvat_validation_errors():
     with pytest.raises(ValidationError, match="name, width, and height"):
         parse_cvat('<annotations><image id="0" name="x" width="10"/></annotations>')
+    for width in ("x", "10.5", "0"):
+        with pytest.raises(ValidationError, match="image 'x': width"):
+            parse_cvat(
+                f'<annotations><image id="0" name="x" width="{width}" height="10"/>'
+                "</annotations>"
+            )
     head = '<annotations><image id="0" name="x" width="10" height="10">'
     tail = "</image></annotations>"
     with pytest.raises(ValidationError, match="label and points"):

@@ -77,6 +77,52 @@ def test_model_rejects_bad_lane_counts(capsys):
     assert err.count("\n") == 1
 
 
+def _config_with(doc: dict, **fields) -> str:
+    return json.dumps({**doc, "config": {**doc["config"], **fields}})
+
+
+def _entry_with(doc: dict, **fields) -> str:
+    """The document with fields replaced in its first existing entry."""
+    entries = list(doc["entries"])
+    first = next(i for i, entry in enumerate(entries) if entry["exists"])
+    entries[first] = {**entries[first], **fields}
+    return json.dumps({**doc, "entries": entries})
+
+
+@pytest.mark.parametrize(
+    "edit, code, expected",
+    [
+        (lambda doc: "{not json", 5, "error: format: "),
+        (lambda doc: "[1, 2]", 4, "top level must be an object"),
+        (lambda doc: json.dumps({**doc, "entries": 5}), 4, '"entries"'),
+        (lambda doc: _config_with(doc, lanes="8"), 4, '"lanes" has the wrong type'),
+        (lambda doc: _config_with(doc, length_m=50.0), 4, '"length_m"'),
+        (lambda doc: _config_with(doc, lane_width_m="2.5"), 4, '"lane_width_m"'),
+        (lambda doc: _entry_with(doc, y_m="1.0"), 4, 'field "y_m" has the wrong type'),
+    ],
+    ids=[
+        "not-json",
+        "not-an-object",
+        "entries-int",
+        "lanes-str",
+        "length-float",
+        "width-str",
+        "coordinate-str",
+    ],
+)
+def test_malformed_model_file_is_one_error_line(
+    workspace, tmp_path, capsys, edit, code, expected
+):
+    bad = tmp_path / "bad_model.json"
+    bad.write_text(edit(json.loads((workspace / "model.json").read_text())))
+    assert main(["synth", "--model", str(bad), "--out", str(tmp_path / "out")]) == code
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert expected in err
+    if code == 5:
+        assert "bad_model.json" in err
+
+
 def test_usage_errors_exit_2(capsys):
     assert main(["model", "--lanes", "10"]) == 2  # missing --length
     assert main(["--bogus"]) == 2
