@@ -367,16 +367,21 @@ def _require(data: dict, field: str, kind, context: str):
         raise ValidationError(f'{context}: missing field "{field}"')
     value = data[field]
     # bool passes isinstance(int) checks, which is never what a count means
-    if isinstance(value, bool) or not isinstance(value, kind):
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
         raise ValidationError(f'{context}: field "{field}" has the wrong type')
     return value
+
+
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
 
 
 def _read_json(path: str | Path) -> dict:
     text = Path(path).read_text()
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
+        # json accepts NaN and Infinity, which no poolkey file may hold
+        data = json.loads(text, parse_constant=_reject_constant)
+    except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from None
     if not isinstance(data, dict):
         raise ValidationError(f"{path}: top level must be an object")
@@ -393,11 +398,15 @@ def model_from_dict(doc: dict) -> BasePoolModel:
         for name in ("lane_width_m", "bumper_width_m", "bulkhead_x_m")
         if cfg.get(name) is not None
     }
+    flags = {
+        name: _require(cfg, name, bool, "model config")
+        for name in ("bumpers", "bulkhead")
+        if name in cfg
+    }
     config = PoolConfig(
         lanes=_require(cfg, "lanes", int, "model config"),
         length_m=_require(cfg, "length_m", int, "model config"),
-        bumpers=cfg.get("bumpers", True),
-        bulkhead=cfg.get("bulkhead", False),
+        **flags,
         **sizes,
     )
     entries: dict[KeyPointId, ModelEntry] = {}
@@ -406,19 +415,18 @@ def model_from_dict(doc: dict) -> BasePoolModel:
             raise ValidationError("each entry must be an object")
         try:
             kp = KeyPointId.from_label(f"{item['class']}_{item['index']}")
-            exists = item["exists"]
         except KeyError as exc:
             raise ValidationError(f"missing entry field: {exc.args[0]}") from None
         if kp in entries:
             raise ValidationError(f"duplicate entry for {kp.label}")
-        if not exists:
+        where = f"model entry {kp.label}"
+        if not _require(item, "exists", bool, where):
             entries[kp] = ModelEntry(False, None)
             continue
         try:
             kind = LocationKind(item["kind"])
         except (KeyError, ValueError) as exc:
             raise ValidationError(f"bad location for {kp.label}: {exc}") from None
-        where = f"model entry {kp.label}"
         x_m = item.get("x_m")
         if x_m is not None:
             x_m = _require(item, "x_m", (int, float), where)

@@ -126,6 +126,18 @@ def test_malformed_json_file(tmp_path):
         read_annotation(path)
 
 
+def test_nan_and_infinity_are_format_errors(tmp_path):
+    doc = {"frame_id": "f", "rows": 10, "cols": 10, "points": []}
+    path = tmp_path / "bad.json"
+    for value in (float("nan"), float("inf")):
+        point = {"class": "wall_left", "index": 0, "u": value, "v": 1.0, "entropy": 0.0}
+        path.write_text(json.dumps({**doc, "points": [point]}))
+        with pytest.raises(FormatError, match="bad.json"):
+            read_annotation(path)
+        with pytest.raises(FormatError, match="bad.json"):
+            read_detections(path)
+
+
 CVAT_DOC = """\
 <annotations>
   <version>1.1</version>

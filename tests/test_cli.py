@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, file plumbing, output shapes."""
 
 import json
+import math
 import shutil
 import tracemalloc
 
@@ -99,6 +100,11 @@ def _entry_with(doc: dict, **fields) -> str:
         (lambda doc: _config_with(doc, length_m=50.0), 4, '"length_m"'),
         (lambda doc: _config_with(doc, lane_width_m="2.5"), 4, '"lane_width_m"'),
         (lambda doc: _entry_with(doc, y_m="1.0"), 4, 'field "y_m" has the wrong type'),
+        (lambda doc: _entry_with(doc, exists="false"), 4, '"exists" has the wrong'),
+        (lambda doc: _config_with(doc, bumpers="no"), 4, '"bumpers" has the wrong'),
+        (lambda doc: _config_with(doc, bulkhead=0), 4, '"bulkhead" has the wrong type'),
+        (lambda doc: _config_with(doc, lane_width_m=math.nan), 5, "NaN"),
+        (lambda doc: _entry_with(doc, y_m=-math.inf), 5, "-Infinity"),
     ],
     ids=[
         "not-json",
@@ -108,6 +114,11 @@ def _entry_with(doc: dict, **fields) -> str:
         "length-float",
         "width-str",
         "coordinate-str",
+        "exists-str",
+        "bumpers-str",
+        "bulkhead-int",
+        "width-nan",
+        "coordinate-infinity",
     ],
 )
 def test_malformed_model_file_is_one_error_line(

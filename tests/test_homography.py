@@ -1,6 +1,7 @@
 """Projective estimation: DLT with mixed constraints, RANSAC, localization."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +28,14 @@ from poolkey import (
     perfect_detections,
     project,
     residuals,
+)
+from poolkey.homography import (
+    MIN_EQUATIONS,
+    RANSAC_BLOCK,
+    _constraint_arrays,
+    _fit_block,
+    _score_block,
+    fit_ransac,
 )
 from poolkey.model import KeyPointClass, KeyPointId
 from poolkey.synth import SynthParams, make_scene
@@ -269,6 +278,148 @@ def test_ransac_line_only_constraints_cannot_form_a_model():
         estimate_ransac(corrs, RansacParams(iterations=20, seed=1))
 
 
+def _reference_ransac(corrs, params):
+    """The per-draw RANSAC loop that the block kernel replaced: one
+    ``estimate_dlt`` and one ``residuals`` call per draw. Returns the
+    estimate, its inlier mask, the degenerate draws and the consensus size."""
+    corrs = tuple(corrs)
+    equations = np.array([c.equations for c in corrs])
+    rng = np.random.default_rng(params.seed)
+    best_key = None
+    best_mask = None
+    degenerate = 0
+    for _ in range(params.iterations):
+        order = rng.permutation(len(corrs))
+        cumulative = np.cumsum(equations[order])
+        sample = order[: int(np.searchsorted(cumulative, MIN_EQUATIONS) + 1)]
+        try:
+            candidate = estimate_dlt([corrs[i] for i in sample])
+        except (DegeneracyError, InsufficientConstraintsError):
+            degenerate += 1
+            continue
+        r = residuals(candidate, corrs)
+        mask = r <= params.inlier_threshold_px
+        if equations[mask].sum() < MIN_EQUATIONS:
+            continue
+        key = (int(mask.sum()), -float(r[mask].sum()))
+        if best_key is None or key > best_key:
+            best_key = key
+            best_mask = mask
+    if best_mask is None:
+        raise NoModelError("no usable consensus")
+    final = estimate_dlt([c for c, keep in zip(corrs, best_mask) if keep])
+    mask = residuals(final, corrs) <= params.inlier_threshold_px
+    return final, mask, degenerate, best_key[0]
+
+
+def _mixed_set(seed: int, outlier_share: float, line_share: float, n=None):
+    """Noisy correspondences of a random map, a share of them moved far off."""
+    rng = np.random.default_rng(seed)
+    truth = _random_h(rng)
+    n = n or int(rng.integers(8, 30))
+    corrs = []
+    for i in range(n):
+        image = tuple(rng.uniform(0, 200, size=2))
+        x, y = _apply(truth, image) + rng.normal(0.0, 0.5, size=2)
+        if i >= 4 and rng.random() < line_share:
+            corrs.append(Correspondence.on_line(image, y))
+        else:
+            corrs.append(Correspondence.point(image, (x, y)))
+    for i in rng.choice(n, int(n * outlier_share), replace=False):
+        image = corrs[i].image
+        if corrs[i].base_point is None:
+            corrs[i] = Correspondence.on_line(image, rng.uniform(-100, 300))
+        else:
+            corrs[i] = Correspondence.point(image, tuple(rng.uniform(-100, 300, 2)))
+    return corrs
+
+
+_ITERATIONS = (1, RANSAC_BLOCK - 1, RANSAC_BLOCK, RANSAC_BLOCK + 1, 1000)
+
+
+@pytest.mark.parametrize("line_share", [0.0, 0.4], ids=["points", "points-lines"])
+@pytest.mark.parametrize("outlier_share", [0.0, 0.15, 0.3])
+@pytest.mark.parametrize("iterations", _ITERATIONS)
+def test_block_ransac_matches_the_per_draw_loop(iterations, outlier_share, line_share):
+    for seed in range(3):
+        corrs = _mixed_set(seed, outlier_share, line_share)
+        params = RansacParams(iterations=iterations, seed=seed)
+        try:
+            expected = _reference_ransac(corrs, params)
+        except NoModelError:
+            with pytest.raises(NoModelError):
+                fit_ransac(corrs, params)
+            continue
+        fit = fit_ransac(corrs, params)
+        assert np.array_equal(fit.homography.matrix, expected[0].matrix)
+        assert np.array_equal(fit.inlier_mask, expected[1])
+        assert (fit.degenerate_draws, fit.consensus_size) == expected[2:]
+        assert fit.draws == iterations
+        h, mask = estimate_ransac(corrs, params)
+        assert np.array_equal(h.matrix, expected[0].matrix)
+        assert np.array_equal(mask, expected[1])
+
+
+@pytest.mark.parametrize("line_share", [0.0, 0.4], ids=["points", "points-lines"])
+def test_block_hypotheses_match_per_sample_fits(line_share):
+    # the batched SVD and the masked normalizers sum in another order than
+    # estimate_dlt, so the unit-norm maps and the residuals may differ in the
+    # last digits only
+    for seed in range(4):
+        corrs = _mixed_set(seed, 0.3, line_share)
+        equations = np.array([c.equations for c in corrs])
+        image, base = _constraint_arrays(corrs)
+        rng = np.random.default_rng(seed)
+        width = min(len(corrs), MIN_EQUATIONS)
+        sample = np.array(
+            [rng.permutation(len(corrs))[:width] for _ in range(RANSAC_BLOCK)]
+        )
+        size = (np.cumsum(equations[sample], axis=1) < MIN_EQUATIONS).sum(axis=1) + 1
+        h, degenerate = _fit_block(sample, size, image, base, equations)
+        r = _score_block(h, image, base, equations == 2)
+        for j, row in enumerate(sample):
+            try:
+                expected = estimate_dlt([corrs[i] for i in row[: size[j]]])
+            except DegeneracyError:
+                assert degenerate[j]
+                continue
+            assert not degenerate[j]
+            m = h[j] * np.sign((h[j] * expected.matrix).sum())
+            assert np.abs(m - expected.matrix).max() < 1e-10
+            assert np.allclose(r[j], residuals(expected, corrs), rtol=1e-9, atol=1e-9)
+
+
+@pytest.mark.parametrize("iterations", _ITERATIONS)
+def test_block_ransac_matches_the_per_draw_loop_on_degenerate_sets(iterations):
+    collinear = [
+        Correspondence.point((float(t), 3.0 * t), (float(t), 3.0 * t))
+        for t in range(9)
+    ]
+    lines = [
+        Correspondence.on_line((float(i), float(i % 5)), float(i)) for i in range(10)
+    ]
+    for corrs in (collinear, lines):
+        params = RansacParams(iterations=iterations, seed=iterations)
+        with pytest.raises(NoModelError):
+            _reference_ransac(corrs, params)
+        with pytest.raises(NoModelError):
+            fit_ransac(corrs, params)
+
+
+def test_ransac_memory_does_not_grow_with_the_iteration_count():
+    corrs = _mixed_set(3, 0.2, 0.3, n=40)
+
+    def peak(iterations: int) -> int:
+        tracemalloc.start()
+        try:
+            estimate_ransac(corrs, RansacParams(iterations=iterations, seed=1))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(5000) <= 1.5 * peak(500)
+
+
 def test_ransac_params_validation():
     with pytest.raises(ValidationError):
         RansacParams(iterations=0)
@@ -338,6 +489,47 @@ def test_localize_recovers_synthetic_cameras():
             est = project(result.homography, c)
             tru = project(scene.homography_gt, c)
             assert math.dist(est, tru) < 1e-6
+
+
+def test_localize_reports_ransac_statistics_on_a_degenerate_set():
+    # three wall_left marks lie on the line x = 0; a draw samples four of the
+    # five points, and is rank-deficient when it leaves out one of the others
+    model = build_base_model(PoolConfig(lanes=8, length_m=50))
+    kps = [KeyPointId(KeyPointClass.WALL_LEFT, i) for i in range(3)] + [
+        KeyPointId(KeyPointClass.WALL_RIGHT, 5),
+        KeyPointId(KeyPointClass.WALL_TOP, 3),
+    ]
+    detections = []
+    for kp in kps:
+        location = model.entry(kp).location
+        u, v = 0.5 * 20.0 * location.x_m + 10.0, 0.5 * 20.0 * location.y_m + 10.0
+        detections.append(Detection(kp, u, v, 0.0))
+    det = DetectionSet("f", 600, 600, tuple(detections))
+    params = RansacParams(iterations=300, seed=4)
+    result = localize_frame(det, model, params=params)
+
+    rng = np.random.default_rng(params.seed)
+    expected = sum(rng.permutation(5)[-1] >= 3 for _ in range(params.iterations))
+    assert 0 < expected < params.iterations
+    assert result.draws == params.iterations
+    assert result.degenerate_draws == expected
+    assert result.consensus_size == 5
+    assert result.inlier_mask.all()
+    assert result.mean_residual_px < 1e-9
+
+
+def test_localize_reports_ransac_statistics_on_a_clean_set():
+    model = build_base_model(PoolConfig(lanes=8, length_m=50))
+    scene = make_scene(model, SynthParams(view="partial", seed=99), 3)
+    det = perfect_detections(scene.annotation)
+    result = localize_frame(det, model)
+    corrs, _ = build_correspondences(det, model, 20.0)
+    _, _, degenerate, consensus = _reference_ransac(corrs, RansacParams())
+    assert result.draws == RansacParams().iterations
+    assert result.degenerate_draws == degenerate
+    assert result.consensus_size == consensus == len(corrs)
+    doc = localize_result_to_dict(result, "f")
+    assert set(doc) == {"frame_id", "h", "inliers", "mean_residual_px", "constraints"}
 
 
 def test_localize_frame_corners_land_in_a_quad_containing_the_detections():
