@@ -10,16 +10,7 @@ from pathlib import Path
 
 from .errors import FormatError, ValidationError
 from .heatmap import AnnotationPoint, Detection, DetectionSet, FrameAnnotation
-from .model import KeyPointId, _read_json, _require
-
-
-def _point_id(entry: dict, context: str) -> KeyPointId:
-    label = _require(entry, "class", str, context)
-    index = _require(entry, "index", int, context)
-    try:
-        return KeyPointId.from_label(f"{label}_{index}")
-    except ValidationError as exc:
-        raise ValidationError(f"{context}: {exc}") from None
+from .model import KeyPointId, _point_id, _read_json, _require
 
 
 def _value_fields(point_type) -> list[str]:

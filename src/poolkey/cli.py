@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
-from functools import partial
 from pathlib import Path
 
 from .annotation_io import (
@@ -44,8 +44,6 @@ from .homography import RansacParams, localize_frame, localize_result_to_dict
 from .metrics import (
     EvalParams,
     beta_sweep,
-    check_beta_grid,
-    check_tolerance_grid,
     evaluate,
     report_to_dict,
     tolerance_sweep,
@@ -95,6 +93,8 @@ def parse_grid(text: str) -> list[float]:
         start, stop, step = (float(p) for p in parts)
     except ValueError:
         raise ValidationError(f"grid must hold numbers, got {text!r}") from None
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise ValidationError(f"grid must hold finite numbers, got {text!r}")
     if step <= 0:
         raise ValidationError("grid step must be positive")
     if stop < start:
@@ -125,14 +125,19 @@ def _pair_files(pred_dir: str, gt_dir: str) -> list[tuple[Path, Path]]:
     return [(volumes[stem], annotations[stem]) for stem in sorted(volumes)]
 
 
-def _load_pairs(pred_dir: str, gt_dir: str, workers: int):
-    """(summary, annotation) per frame; a worker holds one volume at a time."""
+def _load_pairs(pred_dir: str, gt_dir: str):
+    """(summary, annotation) per frame; a worker holds one volume at a time.
+
+    Nothing is listed or read until the first pair is asked for, so a
+    consumer can check its own arguments first.
+    """
 
     def load(pair):
         volume_path, annotation_path = pair
         return read_summary(volume_path), read_annotation(annotation_path)
 
-    return thread_map(load, _pair_files(pred_dir, gt_dir), workers)
+    workers = _workers()
+    yield from thread_map(load, _pair_files(pred_dir, gt_dir), workers)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -190,10 +195,10 @@ def _cmd_loss(args) -> int:
 
 def _cmd_eval(args) -> int:
     decode_params = DecodeParams(args.beta)
-    eval_params = EvalParams(tolerance_px=args.tolerance, beta=args.beta)
+    eval_params = EvalParams(tolerance_px=args.tolerance)
     frames = [
         (gate(summary, decode_params, ann.frame_id), ann)
-        for summary, ann in _load_pairs(args.pred_dir, args.gt_dir, _workers())
+        for summary, ann in _load_pairs(args.pred_dir, args.gt_dir)
     ]
     report = evaluate(frames, eval_params)
     if args.out is None:
@@ -210,17 +215,13 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    # every argument is checked before any volume is read
+    # the sweeps check their arguments before they take the first frame
     grid = parse_grid(args.grid)
+    frames = _load_pairs(args.pred_dir, args.gt_dir)
     if args.mode == "beta":
-        check_beta_grid(grid)
-        EvalParams(tolerance_px=args.tolerance)
-        sweep = partial(beta_sweep, betas=grid, tolerance_px=args.tolerance)
+        curve = beta_sweep(frames, betas=grid, tolerance_px=args.tolerance)
     else:
-        check_tolerance_grid(grid)
-        DecodeParams(args.beta)
-        sweep = partial(tolerance_sweep, beta=args.beta, tolerances_px=grid)
-    curve = sweep(_load_pairs(args.pred_dir, args.gt_dir, _workers()))
+        curve = tolerance_sweep(frames, beta=args.beta, tolerances_px=grid)
     write_sweep_csv(curve, args.out)
     print(f"wrote {len(curve)} sweep rows to {args.out}")
     return 0
@@ -355,6 +356,7 @@ _FAILURES: tuple[tuple[type[Exception], int, str], ...] = (
     (FileNotFoundError, 3, "missing-file"),
     (NotADirectoryError, 3, "missing-file"),
     (IsADirectoryError, 3, "missing-file"),
+    (OSError, 3, "io"),
     (FormatError, 5, "format"),
     (ConfigError, 4, "validation"),
     (ValidationError, 4, "validation"),

@@ -39,7 +39,7 @@ from .errors import (
     ValidationError,
 )
 from .heatmap import DetectionSet
-from .model import BasePoolModel, KeyPointId, LocationKind
+from .model import BasePoolModel, KeyPointId, LocationKind, base_pixel_coordinates
 
 # A constraint system must provide at least this many independent equations.
 MIN_EQUATIONS = 8
@@ -122,6 +122,12 @@ class Correspondence:
             and self.base_y is None
         ):
             raise ValidationError("line correspondence requires base_y")
+        numbers = (*self.image, *(self.base_point or ()), self.base_y or 0.0)
+        if not all(math.isfinite(x) for x in numbers):
+            raise NumericError(
+                f"non-finite coordinate in correspondence: image {self.image}, "
+                f"base {self.base_point or self.base_y}"
+            )
 
     @property
     def equations(self) -> int:
@@ -171,6 +177,17 @@ def _count(corrs: Sequence[Correspondence]) -> tuple[int, int]:
     return points, len(corrs) - points
 
 
+def _require_equations(corrs: Sequence[Correspondence]) -> None:
+    """Raise unless the constraints give at least ``MIN_EQUATIONS`` equations."""
+    n_points, n_lines = _count(corrs)
+    n_equations = 2 * n_points + n_lines
+    if n_equations < MIN_EQUATIONS:
+        raise InsufficientConstraintsError(
+            f"need at least {MIN_EQUATIONS} equations, have {n_equations} "
+            f"({n_points} point pairs, {n_lines} line constraints)"
+        )
+
+
 def estimate_dlt(corrs: Sequence[Correspondence]) -> Homography:
     """Least-squares homography from point and point-on-line constraints.
 
@@ -179,13 +196,7 @@ def estimate_dlt(corrs: Sequence[Correspondence]) -> Homography:
     translation and therefore keeps horizontal lines horizontal.
     """
     corrs = tuple(corrs)
-    n_points, n_lines = _count(corrs)
-    n_equations = 2 * n_points + n_lines
-    if n_equations < MIN_EQUATIONS:
-        raise InsufficientConstraintsError(
-            f"need at least {MIN_EQUATIONS} equations, have {n_equations} "
-            f"({n_points} point pairs, {n_lines} line constraints)"
-        )
+    _require_equations(corrs)
     image = np.array([c.image for c in corrs])
     t_image = _similarity(image)
     fixed = np.array(
@@ -245,7 +256,7 @@ class RansacParams:
     def __post_init__(self):
         if self.iterations < 1:
             raise ValidationError("iterations must be at least 1")
-        if self.inlier_threshold_px <= 0:
+        if not self.inlier_threshold_px > 0:
             raise ValidationError("inlier_threshold_px must be positive")
         if self.seed < 0:
             raise ValidationError("seed must be non-negative")
@@ -393,13 +404,8 @@ def fit_ransac(corrs: Sequence[Correspondence], params: RansacParams) -> RansacF
     is re-fit with the full least-squares ``estimate_dlt``.
     """
     corrs = tuple(corrs)
+    _require_equations(corrs)
     equations = np.array([c.equations for c in corrs])
-    if equations.sum() < MIN_EQUATIONS:
-        n_points, n_lines = _count(corrs)
-        raise InsufficientConstraintsError(
-            f"need at least {MIN_EQUATIONS} equations, have {equations.sum()} "
-            f"({n_points} point pairs, {n_lines} line constraints)"
-        )
     image, base = _constraint_arrays(corrs)
     is_point = equations == 2
     rng = np.random.default_rng(params.seed)
@@ -465,44 +471,33 @@ def build_correspondences(
     Detections whose key-point does not exist in this pool configuration
     have no base geometry and are reported back as skipped.
     """
-    if scale_px_per_m <= 0:
-        raise ValidationError("scale_px_per_m must be positive")
+    pixels = dict(base_pixel_coordinates(model, scale_px_per_m))
     correspondences: list[Correspondence] = []
     skipped: list[KeyPointId] = []
     for d in det.detections:
-        entry = model.entries[d.kp]
-        if not entry.exists:
+        location = pixels.get(d.kp)
+        if location is None:
             skipped.append(d.kp)
-            continue
-        location = entry.location
-        if location.kind is LocationKind.FIXED_POINT:
+        elif location.kind is LocationKind.FIXED_POINT:
             correspondences.append(
-                Correspondence.point(
-                    (d.u, d.v),
-                    (location.x_m * scale_px_per_m, location.y_m * scale_px_per_m),
-                    d.kp,
-                )
+                Correspondence.point((d.u, d.v), (location.x_px, location.y_px), d.kp)
             )
         else:
             correspondences.append(
-                Correspondence.on_line((d.u, d.v), location.y_m * scale_px_per_m, d.kp)
+                Correspondence.on_line((d.u, d.v), location.y_px, d.kp)
             )
     return correspondences, skipped
 
 
 @dataclass(frozen=True)
-class LocalizeResult:
-    homography: Homography
-    inlier_mask: np.ndarray
+class LocalizeResult(RansacFit):
+    """A frame's RANSAC fit and the constraints it was fit to."""
+
     correspondences: tuple[Correspondence, ...]
     point_count: int
     line_count: int
     skipped: tuple[KeyPointId, ...]
     mean_residual_px: float
-    # RANSAC statistics (see RansacFit); not part of the localize JSON
-    draws: int
-    degenerate_draws: int
-    consensus_size: int
 
     @property
     def inlier_count(self) -> int:
@@ -535,16 +530,12 @@ def localize_frame(
     mask = fit.inlier_mask
     mean_residual = float(fit.residuals[mask].mean()) if mask.any() else float("inf")
     return LocalizeResult(
-        homography=fit.homography,
-        inlier_mask=mask,
+        **vars(fit),
         correspondences=tuple(correspondences),
         point_count=n_points,
         line_count=n_lines,
         skipped=tuple(skipped),
         mean_residual_px=mean_residual,
-        draws=fit.draws,
-        degenerate_draws=fit.degenerate_draws,
-        consensus_size=fit.consensus_size,
     )
 
 

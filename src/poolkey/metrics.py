@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from statistics import fmean
 from typing import Iterable, Sequence
@@ -43,13 +43,10 @@ class MatchCounts:
 @dataclass(frozen=True)
 class EvalParams:
     tolerance_px: float = 5.0
-    beta: float = 0.9
 
     def __post_init__(self):
-        if self.tolerance_px <= 0:
+        if not self.tolerance_px > 0:
             raise ValidationError("tolerance_px must be positive")
-        if not 0.0 <= self.beta <= 1.0:
-            raise ValidationError(f"beta must lie in [0, 1], got {self.beta}")
 
 
 @dataclass(frozen=True)
@@ -197,7 +194,7 @@ def check_beta_grid(betas: Sequence[float]) -> None:
 def check_tolerance_grid(tolerances_px: Sequence[float]) -> None:
     """Reject a tolerance grid value that is not positive."""
     for tolerance in tolerances_px:
-        if tolerance <= 0:
+        if not tolerance > 0:
             raise ValidationError(f"tolerance grid value {tolerance} must be positive")
 
 
@@ -212,15 +209,17 @@ def beta_sweep(
 ) -> list[tuple[float, float]]:
     """mean F1 as a function of the entropy gate strength.
 
-    Each frame is summarized once and gated at every beta.
+    Each frame is summarized once and gated at every beta. The arguments
+    are checked before the first frame is taken from ``volumes_gt``.
     """
     check_beta_grid(betas)
+    eval_params = EvalParams(tolerance_px=tolerance_px)
     summaries = [(_summarized(frame), ann) for frame, ann in volumes_gt]
     curve = []
     for beta in betas:
         params = DecodeParams(beta)
         pairs = [(gate(s, params, ann.frame_id), ann) for s, ann in summaries]
-        report = evaluate(pairs, EvalParams(tolerance_px=tolerance_px, beta=beta))
+        report = evaluate(pairs, eval_params)
         curve.append((float(beta), report.mean_f1))
     return curve
 
@@ -233,7 +232,8 @@ def tolerance_sweep(
     """mean F1 as a function of the match tolerance, at one gate strength.
 
     The gate strength is typically the best beta for the pool type being
-    evaluated.
+    evaluated. The arguments are checked before the first frame is taken
+    from ``volumes_gt``.
     """
     check_tolerance_grid(tolerances_px)
     params = DecodeParams(beta)
@@ -243,37 +243,19 @@ def tolerance_sweep(
     ]
     curve = []
     for tolerance in tolerances_px:
-        report = evaluate(pairs, EvalParams(tolerance_px=tolerance, beta=beta))
+        report = evaluate(pairs, EvalParams(tolerance_px=tolerance))
         curve.append((float(tolerance), report.mean_f1))
     return curve
 
 
-def _score_doc(score: ScopeScore) -> dict:
-    return {
-        "precision": score.precision,
-        "recall": score.recall,
-        "f1": score.f1,
-        "total": score.total,
-    }
-
-
 def report_to_dict(report: EvalReport) -> dict:
+    """Each score's fields in declaration order, which is the JSON key order."""
     return {
         "mean_f1": report.mean_f1,
-        "per_frame": [
-            {
-                "frame_id": s.frame_id,
-                "precision": s.precision,
-                "recall": s.recall,
-                "f1": s.f1,
-            }
-            for s in report.per_frame
-        ],
-        "per_class": {
-            cls.value: _score_doc(report.per_class[cls]) for cls in CLASS_ORDER
-        },
+        "per_frame": [asdict(s) for s in report.per_frame],
+        "per_class": {cls.value: asdict(report.per_class[cls]) for cls in CLASS_ORDER},
         "per_keypoint": {
-            kp.label: _score_doc(report.per_keypoint[kp]) for kp in CHANNEL_IDS
+            kp.label: asdict(report.per_keypoint[kp]) for kp in CHANNEL_IDS
         },
     }
 
@@ -291,30 +273,13 @@ def write_report_csv(report: EvalReport, path: str | Path) -> None:
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["class", "index", "precision", "recall", "f1", "total"])
-        for cls in CLASS_ORDER:
-            score = report.per_class[cls]
-            writer.writerow(
-                [
-                    cls.value,
-                    "",
-                    _cell(score.precision),
-                    _cell(score.recall),
-                    _cell(score.f1),
-                    score.total,
-                ]
-            )
-        for kp in CHANNEL_IDS:
-            score = report.per_keypoint[kp]
-            writer.writerow(
-                [
-                    kp.cls.value,
-                    kp.index,
-                    _cell(score.precision),
-                    _cell(score.recall),
-                    _cell(score.f1),
-                    score.total,
-                ]
-            )
+        rows = [(cls.value, "", report.per_class[cls]) for cls in CLASS_ORDER]
+        rows += [
+            (kp.cls.value, kp.index, report.per_keypoint[kp]) for kp in CHANNEL_IDS
+        ]
+        for name, index, score in rows:
+            scores = (_cell(score.precision), _cell(score.recall), _cell(score.f1))
+            writer.writerow([name, index, *scores, score.total])
 
 
 def write_sweep_csv(curve: Sequence[tuple[float, float]], path: str | Path) -> None:

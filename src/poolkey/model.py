@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .errors import ConfigError, FormatError, ValidationError
@@ -324,8 +325,8 @@ def base_pixel_coordinates(
     model: BasePoolModel, scale_px_per_m: float
 ) -> list[tuple[KeyPointId, PixelLocation]]:
     """Existing key-points in base-image pixels, canonical channel order."""
-    if scale_px_per_m <= 0:
-        raise ValidationError("scale_px_per_m must be positive")
+    if not 0 < scale_px_per_m < math.inf:
+        raise ValidationError("scale_px_per_m must be positive and finite")
     out = []
     for kp in CHANNEL_IDS:
         entry = model.entries[kp]
@@ -337,29 +338,20 @@ def base_pixel_coordinates(
     return out
 
 
+def _set_fields(obj) -> dict:
+    """A dataclass's fields that are not None, in declaration order."""
+    return {name: value for name, value in asdict(obj).items() if value is not None}
+
+
 def model_to_dict(model: BasePoolModel) -> dict:
-    config = model.config
-    config_doc = {
-        "lanes": config.lanes,
-        "length_m": config.length_m,
-        "bumpers": config.bumpers,
-        "bulkhead": config.bulkhead,
-        "lane_width_m": config.lane_width_m,
-        "bumper_width_m": config.bumper_width_m,
-    }
-    if config.bulkhead_x_m is not None:
-        config_doc["bulkhead_x_m"] = config.bulkhead_x_m
     entries = []
     for kp in CHANNEL_IDS:
         entry = model.entries[kp]
         doc = {"class": kp.cls.value, "index": kp.index, "exists": entry.exists}
         if entry.exists:
-            doc["kind"] = entry.location.kind.value
-            if entry.location.x_m is not None:
-                doc["x_m"] = entry.location.x_m
-            doc["y_m"] = entry.location.y_m
+            doc.update(_set_fields(entry.location), kind=entry.location.kind.value)
         entries.append(doc)
-    return {"config": config_doc, "entries": entries}
+    return {"config": _set_fields(model.config), "entries": entries}
 
 
 def _require(data: dict, field: str, kind, context: str):
@@ -370,6 +362,16 @@ def _require(data: dict, field: str, kind, context: str):
     if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
         raise ValidationError(f'{context}: field "{field}" has the wrong type')
     return value
+
+
+def _point_id(entry: dict, context: str) -> KeyPointId:
+    """The key-point an entry's "class" and "index" fields name."""
+    label = _require(entry, "class", str, context)
+    index = _require(entry, "index", int, context)
+    try:
+        return KeyPointId.from_label(f"{label}_{index}")
+    except ValidationError as exc:
+        raise ValidationError(f"{context}: {exc}") from None
 
 
 def _reject_constant(name: str):
@@ -413,10 +415,7 @@ def model_from_dict(doc: dict) -> BasePoolModel:
     for item in items:
         if not isinstance(item, dict):
             raise ValidationError("each entry must be an object")
-        try:
-            kp = KeyPointId.from_label(f"{item['class']}_{item['index']}")
-        except KeyError as exc:
-            raise ValidationError(f"missing entry field: {exc.args[0]}") from None
+        kp = _point_id(item, "model entry")
         if kp in entries:
             raise ValidationError(f"duplicate entry for {kp.label}")
         where = f"model entry {kp.label}"

@@ -71,8 +71,8 @@ class NoiseParams:
     peak_mass: float = 1.0
 
     def __post_init__(self):
-        if self.loc_sigma_px < 0:
-            raise ValidationError("loc_sigma_px must be non-negative")
+        if not 0 <= self.loc_sigma_px < math.inf:
+            raise ValidationError("loc_sigma_px must be non-negative and finite")
         for name in ("dropout_rate", "false_positive_rate"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:

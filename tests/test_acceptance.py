@@ -265,7 +265,7 @@ def test_criterion_7_end_to_end_identity():
                 )
                 worst = max(worst, err)
             assert worst < 1e-6, f"scene {index}: corner error {worst:.2e}"
-        report = evaluate(pairs, EvalParams(tolerance_px=5.0, beta=0.9))
+        report = evaluate(pairs, EvalParams(tolerance_px=5.0))
         assert report.mean_f1 == 1.0, f"mean F1 {report.mean_f1!r}"
         return f"mean F1 1.0 over 100 scenes; worst localize corner error {worst:.2e} px"
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import pathlib
 import shutil
 import tracemalloc
 
@@ -105,6 +106,7 @@ def _entry_with(doc: dict, **fields) -> str:
         (lambda doc: _config_with(doc, bulkhead=0), 4, '"bulkhead" has the wrong type'),
         (lambda doc: _config_with(doc, lane_width_m=math.nan), 5, "NaN"),
         (lambda doc: _entry_with(doc, y_m=-math.inf), 5, "-Infinity"),
+        (lambda doc: _entry_with(doc, index="3"), 4, '"index" has the wrong type'),
     ],
     ids=[
         "not-json",
@@ -119,6 +121,7 @@ def _entry_with(doc: dict, **fields) -> str:
         "bulkhead-int",
         "width-nan",
         "coordinate-infinity",
+        "index-str",
     ],
 )
 def test_malformed_model_file_is_one_error_line(
@@ -458,6 +461,14 @@ def test_parse_grid():
     assert parse_grid("5:5:1") == [5.0]
 
 
+@pytest.mark.parametrize("text", ["nan:1:0.1", "0:inf:1", "0:1:inf", "-inf:0:1"])
+def test_parse_grid_rejects_non_finite_parts(text):
+    from poolkey import ValidationError
+
+    with pytest.raises(ValidationError, match="finite"):
+        parse_grid(text)
+
+
 def test_parse_grid_errors():
     from poolkey import ValidationError
 
@@ -547,3 +558,61 @@ def test_eval_memory_does_not_grow_with_the_frame_count(
     capsys.readouterr()
     assert six <= 1.5 * single, (single, six)
     assert single < 96 * 72 * 128 * 8  # never a whole volume as float64
+
+
+def test_nan_arguments_are_rejected_before_volumes_are_read(
+    workspace, tmp_path, capsys
+):
+    volumes = tmp_path / "v"
+    shutil.copytree(workspace / "data" / "volumes", volumes)
+    (volumes / "scene_0000.pkhv").write_bytes(b"NOPE" + bytes(16))
+    annotations = workspace / "data" / "annotations"
+    dirs = ["--pred-dir", str(volumes), "--gt-dir", str(annotations)]
+    sweep = ["sweep", *dirs, "--out", str(tmp_path / "curve.csv"), "--mode"]
+    for argv in (
+        ["eval", "--tolerance", "nan", *dirs],
+        [*sweep, "beta", "--grid", "0:1:0.5", "--tolerance", "nan"],
+    ):
+        assert main(argv) == 4, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: validation:") and "tolerance_px" in err, err
+
+
+@pytest.mark.parametrize(
+    "command, option, message",
+    [
+        ("localize", ["--scale", "nan"], "scale_px_per_m"),
+        ("localize", ["--scale", "inf"], "scale_px_per_m"),
+        ("localize", ["--threshold", "nan"], "inlier_threshold_px"),
+        ("synth", ["--loc-sigma", "nan"], "loc_sigma_px"),
+        ("synth", ["--loc-sigma", "inf"], "loc_sigma_px"),
+    ],
+)
+def test_non_finite_arguments_are_one_error_line(
+    workspace, tmp_path, capsys, command, option, message
+):
+    model = str(workspace / "model.json")
+    if command == "localize":
+        det_path = tmp_path / "det.json"
+        volume = workspace / "data" / "volumes" / "scene_0000.pkhv"
+        assert main(["decode", "--volume", str(volume), "--out", str(det_path)]) == 0
+        argv = ["localize", "--detections", str(det_path), "--model", model]
+    else:
+        argv = ["synth", "--model", model, "--out", str(tmp_path / "out")]
+    assert main([*argv, *option]) == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: validation:") and message in err, err
+
+
+def test_unreadable_file_is_one_error_line(workspace, capsys, monkeypatch):
+    def refuse(path, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(path))
+
+    # the tests run as root, which file modes do not stop, so the read is patched
+    monkeypatch.setattr(pathlib.Path, "read_text", refuse)
+    model = str(workspace / "model.json")
+    assert main(["localize", "--detections", model, "--model", model]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: io: ") and "Permission denied" in err, err

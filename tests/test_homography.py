@@ -568,3 +568,18 @@ def test_localize_result_serialization():
     assert doc["inliers"] == result.inlier_count
     assert set(doc["constraints"]) == {"point", "line"}
     assert doc["constraints"]["point"] == result.point_count
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: Correspondence.point((math.nan, 1.0), (0.0, 0.0)),
+        lambda: Correspondence.point((1.0, 1.0), (0.0, math.inf)),
+        lambda: Correspondence.on_line((1.0, -math.inf), 0.0),
+        lambda: Correspondence.on_line((1.0, 1.0), math.nan),
+    ],
+    ids=["image-nan", "base-point-inf", "image-inf", "base-y-nan"],
+)
+def test_correspondence_rejects_non_finite_numbers(make):
+    with pytest.raises(NumericError, match="non-finite"):
+        make()

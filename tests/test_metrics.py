@@ -392,4 +392,22 @@ def test_eval_params_validated():
     with pytest.raises(ValidationError):
         EvalParams(tolerance_px=0.0)
     with pytest.raises(ValidationError):
-        EvalParams(beta=1.5)
+        EvalParams(tolerance_px=math.nan)
+
+
+class _Unread:
+    """Frames that fail the test if a sweep takes one."""
+
+    def __iter__(self):
+        raise AssertionError("a frame was taken before the arguments were checked")
+
+
+def test_sweeps_check_their_arguments_before_taking_a_frame():
+    with pytest.raises(ValidationError, match="tolerance_px"):
+        beta_sweep(_Unread(), [0.5], tolerance_px=0.0)
+    with pytest.raises(ValidationError, match="tolerance_px"):
+        beta_sweep(_Unread(), [0.5], tolerance_px=math.nan)
+    with pytest.raises(ValidationError, match="tolerance grid"):
+        tolerance_sweep(_Unread(), 0.5, [1.0, math.nan])
+    with pytest.raises(ValidationError, match="beta"):
+        tolerance_sweep(_Unread(), 1.5, [1.0])

@@ -293,3 +293,10 @@ def test_model_from_dict_rejects_bad_documents():
         model_from_dict(broken)
     with pytest.raises(ValidationError):
         model_from_dict({"entries": doc["entries"]})
+
+
+@pytest.mark.parametrize("scale", [math.nan, math.inf])
+def test_base_pixel_coordinates_rejects_non_finite_scale(scale):
+    model = build_base_model(PoolConfig(lanes=6, length_m=25))
+    with pytest.raises(ValidationError, match="scale_px_per_m"):
+        base_pixel_coordinates(model, scale)
