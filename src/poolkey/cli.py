@@ -1,8 +1,8 @@
 """Command-line interface: one subcommand per pipeline stage.
 
-Exit codes: 0 success, 2 usage, 3 missing file, 4 validation, 5 file format,
-6 estimation failure, 7 scene sampling failure. Errors print a single line
-"error: <category>: <message>" on stderr.
+Exit codes: 0 success, 2 usage, 3 missing or unreadable file, 4 validation,
+5 file format, 6 estimation failure, 7 scene sampling failure. Errors print a
+single line "error: <category>: <message>" on stderr.
 """
 
 from __future__ import annotations
@@ -51,7 +51,13 @@ from .metrics import (
     write_report_json,
     write_sweep_csv,
 )
-from .model import PoolConfig, build_base_model, model_to_dict, read_model
+from .model import (
+    _BULKHEAD_LANE_COUNTS,
+    PoolConfig,
+    build_base_model,
+    model_to_dict,
+    read_model,
+)
 from .synth import (
     CameraJitter,
     NoiseParams,
@@ -150,7 +156,7 @@ def _emit(text: str, out: str | None) -> None:
 def _cmd_model(args) -> int:
     bulkhead = args.bulkhead
     if bulkhead is None:
-        bulkhead = args.lanes in (12, 16, 20)
+        bulkhead = args.lanes in _BULKHEAD_LANE_COUNTS
     config = PoolConfig(
         lanes=args.lanes, length_m=args.length, bumpers=args.bumpers, bulkhead=bulkhead
     )

@@ -80,7 +80,7 @@ class FrameAnnotation:
                 raise ValidationError(f"duplicate point for {pt.kp.label}")
             seen.add(pt.kp)
             if not (0 <= pt.u < self.cols and 0 <= pt.v < self.rows):
-                raise ValidationError(
+                raise OutOfBoundsError(
                     f"{pt.kp.label} at (u={pt.u}, v={pt.v}) is outside "
                     f"{self.rows}x{self.cols}"
                 )
@@ -172,20 +172,31 @@ def make_target_volume(ann: FrameAnnotation, rows: int, cols: int) -> HeatmapVol
 
     Annotation coordinates must already be expressed at (rows, cols)
     resolution; each annotated point becomes probability 1.0 at its nearest
-    cell.
+    cell, and a point off the grid raises OutOfBoundsError.
     """
     if rows < 1 or cols < 1:
         raise ShapeError("target volume needs positive rows and cols")
+    plan = {}
+    for pt in FrameAnnotation(ann.frame_id, rows, cols, ann.points).points:
+        cell = (nearest_cell(pt.v, rows), nearest_cell(pt.u, cols), 1.0)
+        plan[canonical_channel_index(pt.kp)] = cell
+    return _peak_volume(plan, rows, cols)
+
+
+def _peak_volume(
+    plan: dict[int, tuple[int, int, float]], rows: int, cols: int
+) -> HeatmapVolume:
+    """Flat channels, except each planned channel: {channel: (row, col, mass)}.
+
+    A planned channel holds mass at its cell and spreads 1 - mass evenly over
+    the other cells (none on a one-cell grid, where only mass 1 is valid), so
+    mass 1 is a delta and mass 1/cells a flat channel.
+    """
     data = np.full((CHANNEL_COUNT, rows, cols), 1.0 / (rows * cols))
-    for pt in ann.points:
-        if not (0 <= pt.u < cols and 0 <= pt.v < rows):
-            raise OutOfBoundsError(
-                f"{pt.kp.label} at (u={pt.u}, v={pt.v}) is outside the "
-                f"{rows}x{cols} target grid"
-            )
-        plane = data[canonical_channel_index(pt.kp)]
-        plane.fill(0.0)
-        plane[nearest_cell(pt.v, rows), nearest_cell(pt.u, cols)] = 1.0
+    for channel, (row, col, mass) in plan.items():
+        plane = data[channel]
+        plane.fill((1.0 - mass) / max(plane.size - 1, 1))
+        plane[row, col] = mass
     return HeatmapVolume(data)
 
 

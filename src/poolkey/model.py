@@ -321,12 +321,16 @@ class PixelLocation:
     y_px: float
 
 
+def _check_scale(scale_px_per_m: float) -> None:
+    if not 0 < scale_px_per_m < math.inf:
+        raise ValidationError("scale_px_per_m must be positive and finite")
+
+
 def base_pixel_coordinates(
     model: BasePoolModel, scale_px_per_m: float
 ) -> list[tuple[KeyPointId, PixelLocation]]:
     """Existing key-points in base-image pixels, canonical channel order."""
-    if not 0 < scale_px_per_m < math.inf:
-        raise ValidationError("scale_px_per_m must be positive and finite")
+    _check_scale(scale_px_per_m)
     out = []
     for kp in CHANNEL_IDS:
         entry = model.entries[kp]
@@ -374,15 +378,22 @@ def _point_id(entry: dict, context: str) -> KeyPointId:
         raise ValidationError(f"{context}: {exc}") from None
 
 
-def _reject_constant(name: str):
-    raise ValueError(f"{name} is not a JSON number")
+def _finite(text: str, parse=float):
+    if not math.isfinite(float(text)):
+        raise ValueError(f"{text} is not a finite float")
+    return parse(text)
 
 
 def _read_json(path: str | Path) -> dict:
     text = Path(path).read_text()
     try:
-        # json accepts NaN and Infinity, which no poolkey file may hold
-        data = json.loads(text, parse_constant=_reject_constant)
+        # json reads NaN, Infinity, 1e400 and 10**400; every number must be finite
+        data = json.loads(
+            text,
+            parse_constant=_finite,
+            parse_float=_finite,
+            parse_int=lambda digits: _finite(digits, int),
+        )
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from None
     if not isinstance(data, dict):

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,12 +26,12 @@ from .errors import (
     ValidationError,
 )
 from .heatmap import (
-    CHANNEL_COUNT,
     AnnotationPoint,
     Detection,
     DetectionSet,
     FrameAnnotation,
     HeatmapVolume,
+    _peak_volume,
     nearest_cell,
     write_volume,
 )
@@ -41,6 +41,7 @@ from .model import (
     BasePoolModel,
     KeyPointClass,
     LocationKind,
+    _check_scale,
     base_pixel_coordinates,
 )
 
@@ -96,8 +97,7 @@ class SynthParams:
             raise ValidationError("frames smaller than 16x16 are not supported")
         if self.view not in ("full", "partial"):
             raise ValidationError(f"view must be 'full' or 'partial', got {self.view!r}")
-        if self.scale_px_per_m <= 0:
-            raise ValidationError("scale_px_per_m must be positive")
+        _check_scale(self.scale_px_per_m)
         if self.seed < 0:
             raise ValidationError("seed must be non-negative")
 
@@ -228,56 +228,57 @@ def _wall_outside(
     return True
 
 
-def _scene_usable(
+def _usable_scene(
     matrix: np.ndarray,
     model: BasePoolModel,
     params: SynthParams,
     clipped_side: str | None,
-) -> bool:
+    extent_px: tuple[float, float],
+) -> tuple[Homography, FrameAnnotation] | None:
+    """The camera and its annotation, or None when the candidate is rejected."""
     rows, cols = params.frame_rows, params.frame_cols
     scale = params.scale_px_per_m
-    width_px = model.basin_length_m * scale
-    height_px = model.width_m * scale
+    width_px, height_px = extent_px
     corners = ((0.0, 0.0), (width_px, 0.0), (width_px, height_px), (0.0, height_px))
     projected = []
     for x, y in corners:
         p = _project_safe(matrix, x, y)
         if p is None:
-            return False  # part of the pool sits behind the camera
+            return None  # part of the pool sits behind the camera
         projected.append(p)
     try:
         camera = Homography(matrix)
     except _UNUSABLE_CAMERA:
-        return False
+        return None
     if clipped_side is None:
         if not all(0 <= u <= cols - 1 and 0 <= v <= rows - 1 for u, v in projected):
-            return False
+            return None
     else:
         wall_x = 0.0 if clipped_side == "left" else width_px
         if not _wall_outside(matrix, wall_x, height_px, rows, cols):
-            return False
+            return None
     ann = project_scene(model, camera, rows, cols, scale)
     floating = sum(1 for p in ann.points if p.kp.cls.value.startswith("floating"))
     fixed = len(ann.points) - floating
     if fixed < 4 or 2 * fixed + floating < 10:
-        return False
+        return None
     if clipped_side is not None and floating < 2:
-        return False
+        return None
     corrs, _ = build_correspondences(perfect_detections(ann), model, scale)
     try:
         estimate_dlt(corrs)
     except _UNUSABLE_CAMERA:
-        return False
-    return True
+        return None
+    return camera, ann
 
 
 def _sample_camera(
     model: BasePoolModel, params: SynthParams, rng: np.random.Generator
-) -> Homography:
+) -> tuple[Homography, FrameAnnotation]:
     rows, cols = params.frame_rows, params.frame_cols
     scale = params.scale_px_per_m
-    width_px = model.basin_length_m * scale
-    height_px = model.width_m * scale
+    extent_px = (model.basin_length_m * scale, model.width_m * scale)
+    width_px, height_px = extent_px
     fit = 0.88 * min(cols / width_px, rows / height_px)
     for _ in range(_RETRY_BUDGET):
         if params.view == "full":
@@ -302,8 +303,9 @@ def _sample_camera(
             ]
         )
         candidate = _jitter_matrix(params.jitter, rng, rows, cols) @ base
-        if _scene_usable(candidate, model, params, clipped_side):
-            return Homography(candidate)
+        scene = _usable_scene(candidate, model, params, clipped_side, extent_px)
+        if scene is not None:
+            return scene
     raise SamplingError(
         f"no usable {params.view}-view camera found in {_RETRY_BUDGET} attempts"
     )
@@ -317,14 +319,7 @@ def sample_camera(model: BasePoolModel, params: SynthParams) -> Homography:
     chosen end wall lies outside the frame, which is what makes floating
     key-points appear.
     """
-    return _sample_camera(model, params, scene_rng(params.seed, 0))
-
-
-def _place_peak(plane: np.ndarray, row: int, col: int, mass: float) -> None:
-    # the remaining mass spreads over the other cells, so mass == 1/cells
-    # collapses the peak into a perfectly flat channel
-    plane.fill((1.0 - mass) / (plane.size - 1))
-    plane[row, col] = mass
+    return _sample_camera(model, params, scene_rng(params.seed, 0))[0]
 
 
 def _synthesize_volume(
@@ -336,29 +331,23 @@ def _synthesize_volume(
 ) -> HeatmapVolume:
     if rows * cols < 2:
         raise ShapeError("volume needs at least two cells")
-    data = np.full((CHANNEL_COUNT, rows, cols), 1.0 / (rows * cols))
-    annotated = ann.by_id
+    # re-framed at rows x cols, so that an out-of-grid point is OutOfBoundsError
+    annotated = FrameAnnotation(ann.frame_id, rows, cols, ann.points).by_id
+    plan = {}
     for channel, kp in enumerate(CHANNEL_IDS):
         point = annotated.get(kp)
         if point is not None:
-            if not (0 <= point.u < cols and 0 <= point.v < rows):
-                raise ValidationError(
-                    f"{kp.label} at (u={point.u}, v={point.v}) is outside the "
-                    f"{rows}x{cols} volume"
-                )
             if rng.random() < noise.dropout_rate:
                 continue  # dropped key-point: channel stays flat
             du, dv = rng.normal(0.0, noise.loc_sigma_px, size=2)
-            _place_peak(
-                data[channel],
-                nearest_cell(point.v + dv, rows),
-                nearest_cell(point.u + du, cols),
-                noise.peak_mass,
-            )
+            row = nearest_cell(point.v + dv, rows)
+            col = nearest_cell(point.u + du, cols)
         elif rng.random() < noise.false_positive_rate:
             row, col = divmod(int(rng.integers(rows * cols)), cols)
-            _place_peak(data[channel], row, col, noise.peak_mass)
-    return HeatmapVolume(data)
+        else:
+            continue
+        plan[channel] = (row, col, noise.peak_mass)
+    return _peak_volume(plan, rows, cols)
 
 
 def synthesize_volume(
@@ -373,15 +362,8 @@ def make_scene(
 ) -> SynthScene:
     """One deterministic scene: camera, annotation, and volume."""
     rng = scene_rng(params.seed, index)
-    camera = _sample_camera(model, params, rng)
-    annotation = project_scene(
-        model,
-        camera,
-        params.frame_rows,
-        params.frame_cols,
-        params.scale_px_per_m,
-        frame_id=f"scene_{index:04d}",
-    )
+    camera, annotation = _sample_camera(model, params, rng)
+    annotation = replace(annotation, frame_id=f"scene_{index:04d}")
     volume = _synthesize_volume(
         annotation, params.frame_rows, params.frame_cols, params.noise, rng
     )

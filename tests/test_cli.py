@@ -91,6 +91,11 @@ def _entry_with(doc: dict, **fields) -> str:
     return json.dumps({**doc, "entries": entries})
 
 
+def _as_1e400(text: str) -> str:
+    """json.dumps cannot write 1e400, so the float 1.5e300 stands in for it."""
+    return text.replace("1.5e+300", "1e400")
+
+
 @pytest.mark.parametrize(
     "edit, code, expected",
     [
@@ -107,6 +112,9 @@ def _entry_with(doc: dict, **fields) -> str:
         (lambda doc: _config_with(doc, lane_width_m=math.nan), 5, "NaN"),
         (lambda doc: _entry_with(doc, y_m=-math.inf), 5, "-Infinity"),
         (lambda doc: _entry_with(doc, index="3"), 4, '"index" has the wrong type'),
+        (lambda doc: _entry_with(doc, x_m=10**400), 5, "not a finite float"),
+        (lambda doc: _as_1e400(_entry_with(doc, x_m=1.5e300)), 5, "1e400 is not"),
+        (lambda doc: _as_1e400(_config_with(doc, lane_width_m=1.5e300)), 5, "1e400"),
     ],
     ids=[
         "not-json",
@@ -122,6 +130,9 @@ def _entry_with(doc: dict, **fields) -> str:
         "width-nan",
         "coordinate-infinity",
         "index-str",
+        "coordinate-int-beyond-float",
+        "coordinate-1e400",
+        "width-1e400",
     ],
 )
 def test_malformed_model_file_is_one_error_line(
@@ -135,6 +146,31 @@ def test_malformed_model_file_is_one_error_line(
     assert expected in err
     if code == 5:
         assert "bad_model.json" in err
+
+
+@pytest.mark.parametrize(
+    "field, literal", [("u", "1" * 400), ("v", "1e400")], ids=["u-int", "v-1e400"]
+)
+def test_detection_number_beyond_float_range_is_a_format_error(
+    workspace, tmp_path, capsys, field, literal
+):
+    point = {"class": "wall_left", "index": 0, "u": 1.0, "v": 1.0, "entropy": 0.0}
+    doc = {"frame_id": "f", "rows": 72, "cols": 128, "points": [point]}
+    det_path = tmp_path / "big.json"
+    text = json.dumps(doc).replace(f'"{field}": 1.0', f'"{field}": {literal}')
+    det_path.write_text(text)
+    model = str(workspace / "model.json")
+    assert main(["localize", "--detections", str(det_path), "--model", model]) == 5
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: format: ") and "big.json" in err, err
+    assert "is not a finite float" in err, err
+
+
+def test_help_states_exit_3_as_missing_or_unreadable_file(capsys):
+    assert main(["--help"]) == 0
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "3 missing or unreadable file, 4 validation" in help_text
 
 
 def test_usage_errors_exit_2(capsys):

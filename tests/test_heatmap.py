@@ -79,6 +79,13 @@ def test_target_volume_rejects_out_of_grid_points():
         make_target_volume(ann, 4, 4)
 
 
+def test_target_volume_on_a_one_cell_grid():
+    ann = FrameAnnotation("f", 1, 1, (AnnotationPoint(WL0, 0.2, 0.7),))
+    vol = make_target_volume(ann, 1, 1)
+    assert vol.data.shape == (96, 1, 1)
+    assert np.all(vol.data == 1.0)
+
+
 def test_softmax_uniform_logits():
     vol = softmax_normalize(np.zeros((96, 2, 2)))
     assert np.allclose(vol.data, 0.25)

@@ -237,6 +237,46 @@ def test_annotation_outside_volume_is_rejected():
         synthesize_volume(ann, 4, 4, NoiseParams(), seed=0)
 
 
+def test_out_of_grid_point_is_out_of_bounds_for_both_builders():
+    from poolkey import FrameAnnotation, OutOfBoundsError, make_target_volume
+    from poolkey.heatmap import AnnotationPoint
+    from poolkey.model import CHANNEL_IDS
+
+    ann = FrameAnnotation("f", 8, 8, (AnnotationPoint(CHANNEL_IDS[5], 6.0, 2.0),))
+    with pytest.raises(OutOfBoundsError, match="outside 4x4"):
+        synthesize_volume(ann, 4, 4, NoiseParams(), seed=0)
+    with pytest.raises(OutOfBoundsError, match="outside 4x4"):
+        make_target_volume(ann, 4, 4)
+
+
+@pytest.mark.parametrize("view", ["full", "partial"])
+def test_noise_free_volume_is_the_target_volume_byte_for_byte(view):
+    from poolkey import make_target_volume
+
+    ann = make_scene(MODEL, _small(view, seed=9), 1).annotation
+    synthesized = synthesize_volume(ann, ann.rows, ann.cols, NoiseParams(), seed=3)
+    target = make_target_volume(ann, ann.rows, ann.cols)
+    assert synthesized.data.tobytes() == target.data.tobytes()
+
+
+def test_make_scene_projects_the_accepted_camera_once(monkeypatch):
+    import poolkey.synth as synth
+
+    params = _small(jitter=CameraJitter.none())  # the first candidate is accepted
+    camera = sample_camera(MODEL, params)
+    expected = project_scene(MODEL, camera, 72, 128, frame_id="scene_0002")
+    calls = []
+
+    def counted(model, camera, *args, **kwargs):
+        calls.append(camera.flat())
+        return project_scene(model, camera, *args, **kwargs)
+
+    monkeypatch.setattr(synth, "project_scene", counted)
+    scene = make_scene(MODEL, params, 2)
+    assert calls == [camera.flat()]
+    assert scene.annotation == expected
+
+
 def test_sampling_error_when_jitter_never_frames_the_pool():
     params = SynthParams(jitter=CameraJitter(translation=100.0), seed=0)
     with pytest.raises(SamplingError, match="200"):
@@ -254,6 +294,14 @@ def test_params_validation():
         NoiseParams(peak_mass=0.0)
     with pytest.raises(ValidationError):
         NoiseParams(dropout_rate=1.5)
+
+
+@pytest.mark.parametrize("scale", [math.nan, math.inf, 0.0, -1.0])
+def test_params_check_the_scale_through_the_base_pixel_rule(scale):
+    with pytest.raises(ValidationError, match="positive and finite"):
+        SynthParams(scale_px_per_m=scale)
+    with pytest.raises(ValidationError, match="positive and finite"):
+        base_pixel_coordinates(MODEL, scale)
 
 
 def test_generate_dataset_round_trip(tmp_path):
