@@ -14,7 +14,7 @@ import struct
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -22,6 +22,7 @@ from .errors import (
     FormatError,
     NumericError,
     OutOfBoundsError,
+    PoolError,
     ShapeError,
     ValidationError,
 )
@@ -79,7 +80,7 @@ class FrameAnnotation:
             if pt.kp in seen:
                 raise ValidationError(f"duplicate point for {pt.kp.label}")
             seen.add(pt.kp)
-            if not (0 <= pt.u < self.cols and 0 <= pt.v < self.rows):
+            if not in_frame(pt.u, pt.v, self.rows, self.cols):
                 raise OutOfBoundsError(
                     f"{pt.kp.label} at (u={pt.u}, v={pt.v}) is outside "
                     f"{self.rows}x{self.cols}"
@@ -162,6 +163,11 @@ def _checked_planes(planes: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
         )
 
 
+def in_frame(u: float, v: float, rows: int, cols: int) -> bool:
+    """The half-open test every key-point of a rows x cols frame passes."""
+    return 0 <= u < cols and 0 <= v < rows
+
+
 def nearest_cell(coord: float, limit: int) -> int:
     """Half-up rounding to a cell index, clamped into [0, limit)."""
     return min(max(int(math.floor(coord + 0.5)), 0), limit - 1)
@@ -180,24 +186,36 @@ def make_target_volume(ann: FrameAnnotation, rows: int, cols: int) -> HeatmapVol
     for pt in FrameAnnotation(ann.frame_id, rows, cols, ann.points).points:
         cell = (nearest_cell(pt.v, rows), nearest_cell(pt.u, cols), 1.0)
         plan[canonical_channel_index(pt.kp)] = cell
-    return _peak_volume(plan, rows, cols)
+    return PeakPlan(rows, cols, plan).volume()
 
 
-def _peak_volume(
-    plan: dict[int, tuple[int, int, float]], rows: int, cols: int
-) -> HeatmapVolume:
+class PeakPlan(NamedTuple):
     """Flat channels, except each planned channel: {channel: (row, col, mass)}.
 
     A planned channel holds mass at its cell and spreads 1 - mass evenly over
     the other cells (none on a one-cell grid, where only mass 1 is valid), so
     mass 1 is a delta and mass 1/cells a flat channel.
     """
-    data = np.full((CHANNEL_COUNT, rows, cols), 1.0 / (rows * cols))
-    for channel, (row, col, mass) in plan.items():
-        plane = data[channel]
-        plane.fill((1.0 - mass) / max(plane.size - 1, 1))
-        plane[row, col] = mass
-    return HeatmapVolume(data)
+
+    rows: int
+    cols: int
+    peaks: dict[int, tuple[int, int, float]]
+    channels = CHANNEL_COUNT
+
+    def planes(self) -> Iterator[np.ndarray]:
+        """Each channel in order, in one reused buffer valid until the next step."""
+        plane = np.empty((self.rows, self.cols))
+        for channel in range(self.channels):
+            if channel in self.peaks:
+                row, col, mass = self.peaks[channel]
+                plane.fill((1.0 - mass) / max(plane.size - 1, 1))
+                plane[row, col] = mass
+            else:
+                plane.fill(1.0 / plane.size)
+            yield plane
+
+    def volume(self) -> HeatmapVolume:
+        return HeatmapVolume([plane.copy() for plane in self.planes()])
 
 
 def softmax_normalize(raw) -> HeatmapVolume:
@@ -310,14 +328,27 @@ def decode(
     return gate(summarize(volume), params, frame_id)
 
 
-def write_volume(volume: HeatmapVolume, path: str | Path) -> None:
-    """Binary layout: magic, u32 version/rows/cols/channels, float32 planes."""
-    with open(path, "wb") as handle:
-        handle.write(VOLUME_MAGIC)
-        handle.write(
-            _HEADER.pack(VOLUME_VERSION, volume.rows, volume.cols, volume.channels)
-        )
-        handle.write(volume.data.astype("<f4").tobytes())
+def write_volume(volume: HeatmapVolume | PeakPlan, path: str | Path) -> None:
+    """Binary layout: magic, u32 version/rows/cols/channels, float32 planes.
+
+    Writes one channel at a time. A plan's planes are checked as a
+    HeatmapVolume's are, and a failed check removes the partial file.
+    """
+    if isinstance(volume, PeakPlan):
+        planes = _checked_planes(volume.planes())
+    else:
+        planes = volume.data
+    try:
+        with open(path, "wb") as handle:
+            handle.write(VOLUME_MAGIC)
+            handle.write(
+                _HEADER.pack(VOLUME_VERSION, volume.rows, volume.cols, volume.channels)
+            )
+            for plane in _cast_planes(planes, (volume.rows, volume.cols), "<f4"):
+                handle.write(plane)
+    except PoolError:
+        Path(path).unlink(missing_ok=True)
+        raise
 
 
 def _read_payload(path: str | Path) -> np.ndarray:
@@ -385,13 +416,13 @@ def read_summary(path: str | Path) -> ChannelSummary:
     payload = _read_payload(path)
     _, rows, cols = payload.shape
     with _non_finite_is_bad_bytes(payload):
-        planes = _checked_planes(_float64_planes(payload))
+        planes = _checked_planes(_cast_planes(payload, (rows, cols), np.float64))
         return _summarize_planes(rows, cols, planes)
 
 
-def _float64_planes(payload: np.ndarray) -> Iterator[np.ndarray]:
-    """Each channel upcast into one reused buffer, valid until the next step."""
-    plane = np.empty(payload.shape[1:])
-    for channel in payload:
-        np.copyto(plane, channel)
-        yield plane
+def _cast_planes(planes, shape, dtype) -> Iterator[np.ndarray]:
+    """Each plane cast into one reused buffer, valid until the next step."""
+    out = np.empty(shape, dtype)
+    for plane in planes:
+        np.copyto(out, plane)
+        yield out

@@ -380,6 +380,8 @@ def _point_id(entry: dict, context: str) -> KeyPointId:
 
 def _finite(text: str, parse=float):
     if not math.isfinite(float(text)):
+        if len(text) > 20:  # a number of 400 digits would fill the error line
+            text = f"{text[:20]}... ({sum(map(str.isdigit, text))} digits)"
         raise ValueError(f"{text} is not a finite float")
     return parse(text)
 

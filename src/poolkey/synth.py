@@ -14,6 +14,7 @@ import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +32,8 @@ from .heatmap import (
     DetectionSet,
     FrameAnnotation,
     HeatmapVolume,
-    _peak_volume,
+    PeakPlan,
+    in_frame,
     nearest_cell,
     write_volume,
 )
@@ -106,7 +108,12 @@ class SynthParams:
 class SynthScene:
     homography_gt: Homography  # frame pixels -> base pixels
     annotation: FrameAnnotation
-    volume: HeatmapVolume
+    plan: PeakPlan  # the volume's peaks, which write_volume streams
+
+    @cached_property
+    def volume(self) -> HeatmapVolume:
+        """The planned volume, built when first read."""
+        return self.plan.volume()
 
 
 def thread_map(fn, items, workers: int) -> list:
@@ -194,9 +201,8 @@ def project_scene(
             projected = _project_safe(m, loc.x_px, loc.y_px)
             if projected is None:
                 continue
-            u, v = projected
-            if 0 <= u < cols and 0 <= v < rows:
-                points.append(AnnotationPoint(kp, u, v))
+            if in_frame(*projected, rows, cols):
+                points.append(AnnotationPoint(kp, *projected))
         else:
             e0 = _project_safe(m, 0.0, loc.y_px)
             e1 = _project_safe(m, basin_px, loc.y_px)
@@ -222,8 +228,7 @@ def _wall_outside(
         projected = _project_safe(m, wall_x, y)
         if projected is None:
             return False
-        u, v = projected
-        if 0 <= u < cols and 0 <= v < rows:
+        if in_frame(*projected, rows, cols):
             return False
     return True
 
@@ -322,13 +327,13 @@ def sample_camera(model: BasePoolModel, params: SynthParams) -> Homography:
     return _sample_camera(model, params, scene_rng(params.seed, 0))[0]
 
 
-def _synthesize_volume(
+def _synthesize_plan(
     ann: FrameAnnotation,
     rows: int,
     cols: int,
     noise: NoiseParams,
     rng: np.random.Generator,
-) -> HeatmapVolume:
+) -> PeakPlan:
     if rows * cols < 2:
         raise ShapeError("volume needs at least two cells")
     # re-framed at rows x cols, so that an out-of-grid point is OutOfBoundsError
@@ -347,27 +352,27 @@ def _synthesize_volume(
         else:
             continue
         plan[channel] = (row, col, noise.peak_mass)
-    return _peak_volume(plan, rows, cols)
+    return PeakPlan(rows, cols, plan)
 
 
 def synthesize_volume(
     ann: FrameAnnotation, rows: int, cols: int, noise: NoiseParams, seed: int = 0
 ) -> HeatmapVolume:
     """Volume a detector with the given noise profile would output."""
-    return _synthesize_volume(ann, rows, cols, noise, scene_rng(seed, 0))
+    return _synthesize_plan(ann, rows, cols, noise, scene_rng(seed, 0)).volume()
 
 
 def make_scene(
     model: BasePoolModel, params: SynthParams, index: int = 0
 ) -> SynthScene:
-    """One deterministic scene: camera, annotation, and volume."""
+    """One deterministic scene: camera, annotation, and volume plan."""
     rng = scene_rng(params.seed, index)
     camera, annotation = _sample_camera(model, params, rng)
     annotation = replace(annotation, frame_id=f"scene_{index:04d}")
-    volume = _synthesize_volume(
+    plan = _synthesize_plan(
         annotation, params.frame_rows, params.frame_cols, params.noise, rng
     )
-    return SynthScene(camera.inverse(), annotation, volume)
+    return SynthScene(camera.inverse(), annotation, plan)
 
 
 def generate_dataset(
@@ -394,7 +399,7 @@ def generate_dataset(
         volume_path = f"volumes/{scene_id}.pkhv"
         homography_path = f"homographies/{scene_id}.json"
         write_annotation(scene.annotation, out / annotation_path)
-        write_volume(scene.volume, out / volume_path)
+        write_volume(scene.plan, out / volume_path)
         (out / homography_path).write_text(
             json.dumps(
                 {"frame_id": scene_id, "h": scene.homography_gt.flat()}, indent=2

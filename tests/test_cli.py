@@ -149,7 +149,9 @@ def test_malformed_model_file_is_one_error_line(
 
 
 @pytest.mark.parametrize(
-    "field, literal", [("u", "1" * 400), ("v", "1e400")], ids=["u-int", "v-1e400"]
+    "field, literal",
+    [("u", "1" * 400), ("v", "1e400"), ("v", "-" + "7" * 400)],
+    ids=["u-int", "v-1e400", "v-negative-int"],
 )
 def test_detection_number_beyond_float_range_is_a_format_error(
     workspace, tmp_path, capsys, field, literal
@@ -165,6 +167,8 @@ def test_detection_number_beyond_float_range_is_a_format_error(
     assert err.count("\n") == 1
     assert err.startswith("error: format: ") and "big.json" in err, err
     assert "is not a finite float" in err, err
+    # the number is quoted in part, so the line stays readable
+    assert len(err) < len(str(det_path)) + 100, err
 
 
 def test_help_states_exit_3_as_missing_or_unreadable_file(capsys):

@@ -2,6 +2,7 @@
 
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from poolkey import (
     softmax_normalize,
     write_volume,
 )
-from poolkey.heatmap import nearest_cell
+from poolkey.heatmap import PeakPlan, nearest_cell
 from poolkey.model import KeyPointClass, KeyPointId, canonical_channel_index
 
 WL0 = KeyPointId(KeyPointClass.WALL_LEFT, 0)
@@ -291,6 +292,23 @@ def test_file_header_fields(tmp_path):
     assert int.from_bytes(blob[12:16], "little") == 2
     assert int.from_bytes(blob[16:20], "little") == 96
     assert len(blob) == 20 + 96 * 3 * 2 * 4
+
+
+@pytest.mark.parametrize(
+    "plan, error",
+    [
+        (PeakPlan(2, 2, {40: (1, 0, math.nan)}), NumericError),
+        (PeakPlan(1, 1, {7: (0, 0, 0.5)}), ValidationError),
+    ],
+    ids=["nan-plane", "wrong-sum"],
+)
+def test_failed_streamed_write_leaves_no_file(tmp_path, plan, error):
+    with pytest.raises(error) as built:
+        HeatmapVolume([plane.copy() for plane in plan.planes()])
+    path = tmp_path / "v.pkhv"
+    with pytest.raises(error, match=f"^{re.escape(str(built.value))}$"):
+        write_volume(plan, path)
+    assert not path.exists()
 
 
 def test_read_volume_error_offsets(tmp_path):

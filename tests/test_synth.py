@@ -2,6 +2,9 @@
 
 import json
 import math
+import tracemalloc
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,7 +32,9 @@ from poolkey import (
     read_volume,
     sample_camera,
     synthesize_volume,
+    write_volume,
 )
+from poolkey.heatmap import PeakPlan
 from poolkey.model import (
     KeyPointClass,
     base_pixel_coordinates,
@@ -38,6 +43,7 @@ from poolkey.model import (
 from poolkey.synth import CameraJitter
 
 MODEL = build_base_model(PoolConfig(lanes=8, length_m=50))
+NOISY = NoiseParams(loc_sigma_px=1.5, dropout_rate=0.1, false_positive_rate=0.05)
 
 
 def _small(view="full", **kw) -> SynthParams:
@@ -275,6 +281,75 @@ def test_make_scene_projects_the_accepted_camera_once(monkeypatch):
     scene = make_scene(MODEL, params, 2)
     assert calls == [camera.flat()]
     assert scene.annotation == expected
+
+
+def _whole_volume_file(volume) -> bytes:
+    """The file as a whole-volume float32 cast writes it, the reference."""
+    header = (1, volume.rows, volume.cols, volume.channels)
+    words = b"".join(n.to_bytes(4, "little") for n in header)
+    return b"PKHV" + words + volume.data.astype("<f4").tobytes()
+
+
+@pytest.mark.parametrize("mass", [1.0, 0.7, 0.3])
+@pytest.mark.parametrize("view", ["full", "partial", "2x1"])
+def test_streamed_file_is_the_built_volume_byte_for_byte(tmp_path, view, mass):
+    if view == "2x1":
+        plan = PeakPlan(2, 1, {0: (1, 0, mass), 17: (0, 0, mass), 95: (1, 0, 1.0)})
+    else:
+        noise = replace(NOISY, peak_mass=mass)
+        plan = make_scene(MODEL, _small(view, noise=noise, seed=3), 1).plan
+    volume = plan.volume()
+    write_volume(plan, tmp_path / "streamed.pkhv")
+    write_volume(volume, tmp_path / "built.pkhv")
+    streamed = (tmp_path / "streamed.pkhv").read_bytes()
+    assert streamed == (tmp_path / "built.pkhv").read_bytes()
+    assert streamed == _whole_volume_file(volume)
+
+
+def test_make_scene_builds_no_volume_until_it_is_read(monkeypatch, tmp_path):
+    builds = []
+    build = PeakPlan.volume
+
+    def counted(plan):
+        builds.append(plan)
+        return build(plan)
+
+    monkeypatch.setattr(PeakPlan, "volume", counted)
+    params = _small("partial", seed=5)
+    generate_dataset(MODEL, 2, params, tmp_path / "run")
+    scene = make_scene(MODEL, params, 1)
+    assert builds == []
+    volume = scene.volume
+    assert builds == [scene.plan] and scene.volume is volume
+    assert volume.data.shape == (96, 72, 128)
+
+
+def test_generate_dataset_writes_the_built_volumes_with_any_worker_count(tmp_path):
+    params = _small("partial", noise=NOISY, seed=8)
+    trees = []
+    for workers in (1, 2):
+        out = tmp_path / f"workers{workers}"
+        generate_dataset(MODEL, 3, params, out, workers=workers)
+        files = (p for p in out.rglob("*") if p.is_file())
+        trees.append({p.relative_to(out): p.read_bytes() for p in files})
+    assert trees[0] == trees[1]
+    for index in range(3):
+        volume = make_scene(MODEL, params, index).volume
+        written = trees[0][Path("volumes") / f"scene_{index:04d}.pkhv"]
+        assert written == _whole_volume_file(volume)
+
+
+def test_generate_dataset_memory_stays_bounded(tmp_path):
+    # one 96 x 288 x 512 float64 volume is 113 MB; a streamed write holds
+    # one float64 and one float32 plane (1.2 MB and 0.6 MB) at a time
+    params = SynthParams(view="partial", noise=NOISY, seed=0)
+    tracemalloc.start()
+    try:
+        generate_dataset(MODEL, 1, params, tmp_path / "run")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 def test_sampling_error_when_jitter_never_frames_the_pool():
