@@ -2,13 +2,15 @@
 
 Exit codes: 0 success, 2 usage, 3 missing or unreadable file, 4 validation,
 5 file format, 6 estimation failure, 7 scene sampling failure. Errors print a
-single line "error: <category>: <message>" on stderr.
+single line "error: <category>: <message>" on stderr, and warnings a line
+"warning: <message>".
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import logging
 import math
 import os
 import sys
@@ -375,7 +377,23 @@ _FAILURES: tuple[tuple[type[Exception], int, str], ...] = (
 )
 
 
+class _StderrLines(logging.Handler):
+    """Each log record as one "<level>: <message>" line on the current stderr."""
+
+    def emit(self, record):
+        message = record.getMessage().replace("\n", " ")
+        print(f"{record.levelname.lower()}: {message}", file=sys.stderr)
+
+
+def _configure_logging() -> None:
+    """Route the library's warnings to stderr lines, once per process."""
+    logger = logging.getLogger("poolkey")
+    if not any(isinstance(h, _StderrLines) for h in logger.handlers):
+        logger.addHandler(_StderrLines(logging.WARNING))
+
+
 def main(argv: list[str] | None = None) -> int:
+    _configure_logging()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

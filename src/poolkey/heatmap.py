@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import logging
 import math
+import os
 import struct
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple
+from typing import BinaryIO, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -146,11 +147,14 @@ def _checked_planes(planes: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
     sums = []
     negative = False
     for plane in planes:
-        if not np.isfinite(plane).all():
+        with np.errstate(invalid="ignore"):  # inf + -inf is reported below
+            total = plane.sum()
+        # a finite sum has finite terms; finite terms may still overflow it
+        if not math.isfinite(total) and not np.isfinite(plane).all():
             raise NumericError("volume contains non-finite values")
-        negative = negative or bool((plane < 0).any())
+        negative = negative or bool(plane.min() < 0)
         if not negative:
-            sums.append(plane.sum())
+            sums.append(total)
             yield plane
     if negative:
         raise ValidationError("volume contains negative values")
@@ -244,9 +248,17 @@ def channel_entropy(channel) -> float:
     arr = np.asarray(channel, dtype=np.float64)
     if (arr < 0).any():
         raise ValidationError("channel contains negative entries")
+    return _entropy(arr, np.empty(arr.size))
+
+
+def _entropy(plane: np.ndarray, work: np.ndarray) -> float:
+    """channel_entropy of a plane known to hold no negative entry.
+
+    The log terms go into work, a float64 buffer of at least plane.size cells.
+    """
     # every cell of a typical detector channel is positive: skip the copy then
-    positive = arr.ravel() if arr.all() else arr[arr > 0]
-    terms = np.log(positive)
+    positive = plane.ravel() if plane.all() else plane[plane > 0]
+    terms = np.log(positive, out=work[: positive.size])
     terms *= positive
     return float(-terms.sum())
 
@@ -284,9 +296,11 @@ class ChannelSummary:
 
 
 def _summarize_planes(rows: int, cols: int, planes) -> ChannelSummary:
+    """Summarize validated float64 planes, which may share one reused buffer."""
+    work = np.empty(rows * cols)
     entropies, cells = [], []
     for plane in planes:
-        entropies.append(channel_entropy(plane))
+        entropies.append(_entropy(plane, work))
         cells.append(int(plane.argmax()))
     return ChannelSummary(rows, cols, tuple(entropies), tuple(cells))
 
@@ -351,16 +365,20 @@ def write_volume(volume: HeatmapVolume | PeakPlan, path: str | Path) -> None:
         raise
 
 
-def _read_payload(path: str | Path) -> np.ndarray:
-    """Check a volume file's header and size; return its float32 payload."""
-    blob = Path(path).read_bytes()
-    if len(blob) < 4 or blob[:4] != VOLUME_MAGIC:
+def _read_header(handle: BinaryIO, path: str | Path) -> tuple[int, int, int]:
+    """Check a volume file's header against its size; return channels, rows, cols.
+
+    Leaves handle at the start of the float32 payload.
+    """
+    size = os.fstat(handle.fileno()).st_size
+    head = handle.read(_PAYLOAD_OFFSET)
+    if head[:4] != VOLUME_MAGIC:
         raise FormatError(
-            f"bad magic {blob[:4]!r}, expected {VOLUME_MAGIC!r}", offset=0
+            f"bad magic {head[:4]!r}, expected {VOLUME_MAGIC!r}", offset=0
         )
-    if len(blob) < _PAYLOAD_OFFSET:
-        raise FormatError("truncated header", offset=len(blob))
-    version, rows, cols, channels = _HEADER.unpack_from(blob, 4)
+    if len(head) < _PAYLOAD_OFFSET:
+        raise FormatError("truncated header", offset=len(head))
+    version, rows, cols, channels = _HEADER.unpack_from(head, 4)
     if version != VOLUME_VERSION:
         raise FormatError(f"unsupported version {version}", offset=4)
     if rows == 0:
@@ -370,12 +388,12 @@ def _read_payload(path: str | Path) -> np.ndarray:
     if channels == 0:
         raise FormatError("channels must be positive", offset=16)
     expected = _PAYLOAD_OFFSET + 4 * rows * cols * channels
-    if len(blob) < expected:
+    if size < expected:
         raise FormatError(
-            f"payload truncated: expected {expected} bytes, file has {len(blob)}",
-            offset=len(blob),
+            f"payload truncated: expected {expected} bytes, file has {size}",
+            offset=size,
         )
-    if len(blob) > expected:
+    if size > expected:
         raise FormatError("trailing bytes after payload", offset=expected)
     if channels != CHANNEL_COUNT:
         logger.warning(
@@ -384,40 +402,56 @@ def _read_payload(path: str | Path) -> np.ndarray:
             channels,
             CHANNEL_COUNT,
         )
-    return np.frombuffer(blob, dtype="<f4", offset=_PAYLOAD_OFFSET).reshape(
-        channels, rows, cols
-    )
+    return channels, rows, cols
+
+
+def _read_into(handle: BinaryIO, buffer: np.ndarray) -> np.ndarray:
+    """Fill buffer with the next payload bytes; a file that shrank is a format error."""
+    if handle.readinto(buffer) != buffer.nbytes:
+        raise FormatError("payload ended while being read", offset=handle.tell())
+    return buffer
 
 
 @contextmanager
-def _non_finite_is_bad_bytes(payload: np.ndarray):
-    """Report a NaN or infinity read from a file as a format error at its offset."""
+def _non_finite_is_bad_bytes(handle: BinaryIO, buffer: np.ndarray):
+    """Report a NaN or infinity as a format error at its offset in the file.
+
+    buffer holds the payload bytes read last from handle, where the first
+    non-finite value is.
+    """
     try:
         yield
     except NumericError:
-        first = int(np.isfinite(payload).argmin())
+        first = int(np.isfinite(buffer).argmin())
+        start = handle.tell() - buffer.nbytes
         raise FormatError(
-            "non-finite value in payload", offset=_PAYLOAD_OFFSET + 4 * first
+            "non-finite value in payload", offset=start + 4 * first
         ) from None
 
 
 def read_volume(path: str | Path) -> HeatmapVolume:
-    payload = _read_payload(path)
-    with _non_finite_is_bad_bytes(payload):
-        return HeatmapVolume(payload)
+    with open(path, "rb") as handle:
+        shape = _read_header(handle, path)
+        payload = _read_into(handle, np.empty(shape, "<f4"))
+        with _non_finite_is_bad_bytes(handle, payload):
+            return HeatmapVolume(payload)
 
 
 def read_summary(path: str | Path) -> ChannelSummary:
     """The summary of a volume file, validated as read_volume validates it.
 
-    Walks the float32 payload one channel at a time, so that at most one
-    channel is held as float64.
+    Reads the float32 payload one channel at a time into one reused buffer
+    and casts it into one reused float64 plane; with the entropy's float64
+    work plane, memory holds three planes, never the whole file. Every error,
+    and every byte offset it names, is the one read_volume gives.
     """
-    payload = _read_payload(path)
-    _, rows, cols = payload.shape
-    with _non_finite_is_bad_bytes(payload):
-        planes = _checked_planes(_cast_planes(payload, (rows, cols), np.float64))
-        return _summarize_planes(rows, cols, planes)
+    with open(path, "rb") as handle:
+        channels, rows, cols = _read_header(handle, path)
+        raw = np.empty((rows, cols), "<f4")
+        planes = (_read_into(handle, raw) for _ in range(channels))
+        with _non_finite_is_bad_bytes(handle, raw):
+            planes = _checked_planes(_cast_planes(planes, raw.shape, np.float64))
+            return _summarize_planes(rows, cols, planes)
 
 
 def _cast_planes(planes, shape, dtype) -> Iterator[np.ndarray]:

@@ -11,6 +11,7 @@ import pytest
 
 from poolkey import (
     FrameAnnotation,
+    HeatmapVolume,
     PoolConfig,
     SynthParams,
     build_base_model,
@@ -188,6 +189,19 @@ def test_usage_errors_exit_2(capsys):
 def test_decode_missing_volume(capsys):
     assert main(["decode", "--volume", "/nonexistent/v.pkhv"]) == 3
     assert capsys.readouterr().err.startswith("error: missing-file:")
+
+
+def test_decode_warns_on_one_line_then_fails(tmp_path, capsys):
+    path = tmp_path / "c3.pkhv"
+    write_volume(HeatmapVolume(np.full((3, 2, 2), 0.25)), path)
+    for _ in range(2):  # a second in-process run adds no second handler
+        assert main(["decode", "--volume", str(path)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"warning: volume {path} carries 3 channels; decoding requires 96\n"
+            "error: validation: decoding requires 96 channels, volume has 3\n"
+        )
 
 
 def test_decode_stdout_uses_the_file_stem(workspace, capsys):

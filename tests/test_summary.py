@@ -1,5 +1,9 @@
 """Channel summaries: the streamed file reader against the whole-volume path."""
 
+import os
+import tracemalloc
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -168,6 +172,17 @@ def test_volume_checks_keep_whole_volume_precedence():
             else:
                 data[k, r, c] = fault
         assert _outcome(HeatmapVolume, data) == _whole_volume_error(data)
+    # finite entries whose sum overflows: a bad sum, not a non-finite value
+    data = np.full((3, 3, 4), 1.0 / 12)
+    data[1] = 1e308
+    with np.errstate(over="ignore"):
+        reference = _whole_volume_error(data)
+        assert _outcome(HeatmapVolume, data) == reference
+    assert reference[0] is ValidationError
+    assert reference[1].startswith("channel 1 sums to ")
+    data[2, 1, 1] = np.nan
+    with np.errstate(over="ignore"):
+        assert _outcome(HeatmapVolume, data) == _whole_volume_error(data)
 
 
 def _decode_file(path):
@@ -201,7 +216,15 @@ def _corrupt_volumes():
         d[1] *= 1.2
         d[2] *= 1.5
 
+    def nan_last(d):
+        d[95, 2, 3] = np.nan
+
+    def inf_first(d):
+        d[0, 0, 0] = np.inf
+
     return {
+        "nan_last": (edit(nan_last), 20 + 4 * (95 * 12 + 11)),
+        "inf_first": (edit(inf_first), 20),
         "nan_then_negative": (edit(nan_then_negative), 20 + 4 * (2 * 12 + 7)),
         "negative_then_nan": (edit(negative_then_nan), 20 + 4 * (5 * 12 + 10)),
         "inf_and_bad_sum": (edit(inf_and_bad_sum), 20 + 4 * (40 * 12 + 8)),
@@ -227,3 +250,73 @@ def test_read_summary_fails_like_read_volume_then_decode(tmp_path, name):
         )
     else:
         assert reference[0] is ValidationError
+
+
+def _header(version=1, rows=3, cols=4, channels=96) -> bytes:
+    return b"PKHV" + b"".join(
+        v.to_bytes(4, "little") for v in (version, rows, cols, channels)
+    )
+
+
+_FLAT_PAYLOAD = np.full((96, 3, 4), 1.0 / 12, dtype="<f4").tobytes()
+_FULL_SIZE = 20 + len(_FLAT_PAYLOAD)
+
+
+@pytest.mark.parametrize(
+    "name, blob, message",
+    [
+        (
+            "short_payload",
+            _header() + _FLAT_PAYLOAD[:-1],
+            f"payload truncated: expected {_FULL_SIZE} bytes, file has "
+            f"{_FULL_SIZE - 1} (byte offset {_FULL_SIZE - 1})",
+        ),
+        (
+            "trailing_byte",
+            _header() + _FLAT_PAYLOAD + b"\0",
+            f"trailing bytes after payload (byte offset {_FULL_SIZE})",
+        ),
+        ("magic_only", b"PKHV", "truncated header (byte offset 4)"),
+        ("empty", b"", "bad magic b'', expected b'PKHV' (byte offset 0)"),
+        (
+            "zero_rows",
+            _header(rows=0) + _FLAT_PAYLOAD,
+            "rows must be positive (byte offset 8)",
+        ),
+    ],
+)
+def test_read_summary_rejects_bad_bytes_like_read_volume(tmp_path, name, blob, message):
+    path = tmp_path / f"{name}.pkhv"
+    path.write_bytes(blob)
+    assert _outcome(read_volume, path) == (FormatError, message)
+    assert _outcome(read_summary, path) == (FormatError, message)
+
+
+def test_a_file_that_shrinks_while_read_is_a_format_error(tmp_path, monkeypatch):
+    path = tmp_path / "shrunk.pkhv"
+    path.write_bytes(_header() + _FLAT_PAYLOAD[:-1])
+    real_fstat = os.fstat
+
+    def fstat_before_the_shrink(fd):
+        stat = real_fstat(fd)
+        return SimpleNamespace(st_size=stat.st_size + 1)
+
+    monkeypatch.setattr(os, "fstat", fstat_before_the_shrink)
+    message = f"payload ended while being read (byte offset {_FULL_SIZE - 1})"
+    assert _outcome(read_volume, path) == (FormatError, message)
+    assert _outcome(read_summary, path) == (FormatError, message)
+
+
+def test_read_summary_never_holds_the_payload(tmp_path):
+    rows, cols = 72, 128
+    path = tmp_path / "v.pkhv"
+    params = SynthParams(frame_rows=rows, frame_cols=cols, noise=NOISY, seed=3)
+    write_volume(make_scene(MODEL, params, 0).plan, path)
+    read_summary(path)  # lazy imports and caches stay out of the peak
+    tracemalloc.start()
+    try:
+        read_summary(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * rows * cols * 8, peak  # the payload is 96 f32 planes
