@@ -162,7 +162,7 @@ def _checked_planes(planes: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
     worst = int(np.abs(sums - 1.0).argmax())
     if abs(sums[worst] - 1.0) > CHANNEL_SUM_TOLERANCE:
         raise ValidationError(
-            f"channel {worst} sums to {sums[worst]!r}, expected 1 within "
+            f"channel {worst} sums to {float(sums[worst])}, expected 1 within "
             f"{CHANNEL_SUM_TOLERANCE}"
         )
 
@@ -296,12 +296,25 @@ class ChannelSummary:
 
 
 def _summarize_planes(rows: int, cols: int, planes) -> ChannelSummary:
-    """Summarize validated float64 planes, which may share one reused buffer."""
+    """Summarize validated float64 planes, which may share one reused buffer.
+
+    Every plane has one size, so a flat plane's entropy depends only on its
+    value: it is computed for the first flat plane of each value, then reused.
+    """
     work = np.empty(rows * cols)
+    flat = {}  # value -> entropy of the flat planes holding it
     entropies, cells = [], []
     for plane in planes:
-        entropies.append(_entropy(plane, work))
-        cells.append(int(plane.argmax()))
+        cell = int(plane.argmax())
+        value = plane.flat[0]
+        # a flat plane's argmax is its first cell, so only then test the rest
+        if cell == 0 and plane.min() == value:
+            if value not in flat:
+                flat[value] = _entropy(plane, work)
+            entropies.append(flat[value])
+        else:
+            entropies.append(_entropy(plane, work))
+        cells.append(cell)
     return ChannelSummary(rows, cols, tuple(entropies), tuple(cells))
 
 

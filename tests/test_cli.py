@@ -540,6 +540,19 @@ def _nan_volume(path, channel=3, cell=5) -> int:
     return 20 + 4 * (channel * 16 + cell)
 
 
+def test_bad_channel_sum_prints_a_plain_float(tmp_path, capsys):
+    data = np.full((96, 3, 4), 1.0 / 12, dtype="<f4")
+    data[7] *= 2
+    header = b"".join(v.to_bytes(4, "little") for v in (1, 3, 4, 96))
+    path = tmp_path / "doubled.pkhv"
+    path.write_bytes(b"PKHV" + header + data.tobytes())
+    assert main(["decode", "--volume", str(path)]) == 4
+    assert capsys.readouterr().err == (
+        "error: validation: channel 7 sums to 2.0000000596046448, "
+        "expected 1 within 1e-06\n"
+    )
+
+
 def test_non_finite_volume_is_a_format_error(tmp_path, capsys):
     volumes, annotations = tmp_path / "v", tmp_path / "a"
     volumes.mkdir()

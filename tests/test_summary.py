@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from poolkey import (
+    AnnotationPoint,
     DecodeParams,
     FormatError,
+    FrameAnnotation,
     HeatmapVolume,
     NoiseParams,
     NumericError,
@@ -20,13 +22,16 @@ from poolkey import (
     build_base_model,
     channel_entropy,
     decode,
+    keypoint_for_channel,
     make_scene,
+    make_target_volume,
     read_volume,
     softmax_normalize,
     tolerance_sweep,
     write_volume,
 )
-from poolkey.heatmap import read_summary
+from poolkey import heatmap
+from poolkey.heatmap import read_summary, summarize
 
 MODEL = build_base_model(PoolConfig(lanes=8, length_m=50))
 NOISY = NoiseParams(loc_sigma_px=1.5, dropout_rate=0.1, false_positive_rate=0.05)
@@ -62,15 +67,16 @@ def _reference_summary(path):
 
 
 def _assert_matches_reference(path) -> None:
-    summary = read_summary(path)
+    """Both readers against the per-channel references."""
     rows, cols, entropies, cells = _reference_summary(path)
-    assert (summary.rows, summary.cols) == (rows, cols)
-    # bit for bit, not merely equal: -0.0 and 0.0 differ here
-    assert np.array_equal(_bits(summary.entropies), _bits(entropies))
     volume = read_volume(path)
     seed = [_seed_entropy(volume.channel(k)) for k in range(volume.channels)]
-    assert np.array_equal(_bits(summary.entropies), _bits(seed))
-    assert summary.cells == tuple(cells)
+    for summary in (read_summary(path), summarize(volume)):
+        assert (summary.rows, summary.cols) == (rows, cols)
+        # bit for bit, not merely equal: -0.0 and 0.0 differ here
+        assert np.array_equal(_bits(summary.entropies), _bits(entropies))
+        assert np.array_equal(_bits(summary.entropies), _bits(seed))
+        assert summary.cells == tuple(cells)
 
 
 def _hand_made_volume(rows=6, cols=7) -> np.ndarray:
@@ -118,6 +124,69 @@ def test_read_summary_matches_reference_on_softmax_volumes(tmp_path):
         _assert_matches_reference(path)
 
 
+def _flat_volumes() -> dict[str, np.ndarray]:
+    """float32 volumes whose flat channels the summary may share work between."""
+    rows, cols = 6, 7
+    even = np.float32(1.0 / (rows * cols))
+    # two flat values one float32 step apart, both summing to one within 1e-6
+    values = (even, np.nextafter(even, np.float32(1)))
+    two_values = np.stack(
+        [np.full((rows, cols), values[int(k % 3 == 0)]) for k in range(96)]
+    )
+    mixed = _hand_made_volume(rows, cols).astype(np.float32)
+    mixed[1::8] = values[1]  # flat channels of both values among the others
+    mixed[4] = 0.0
+    mixed[4, 0, 0] = 1.0  # a delta in the first cell, whose argmax a flat plane shares
+    mixed[8] = 0.0
+    mixed[8, 0, :2] = 0.5  # first cell and argmax as in channel 3, other entropy
+    return {
+        "two_flat_values": two_values,
+        "all_flat": np.full((96, 3, 4), np.float32(1.0 / 12)),
+        "one_cell": np.ones((96, 1, 1), np.float32),  # every entropy is -0.0
+        "flat_among_delta_and_mostly_zero": mixed,
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_flat_volumes()))
+def test_flat_channels_share_an_exact_entropy(tmp_path, name):
+    path = tmp_path / f"{name}.pkhv"
+    _write_raw(path, _flat_volumes()[name])
+    _assert_matches_reference(path)
+
+
+def test_two_flat_values_keep_their_own_entropies(tmp_path):
+    path = tmp_path / "two.pkhv"
+    _write_raw(path, _flat_volumes()["two_flat_values"])
+    entropies = read_summary(path).entropies
+    assert entropies[0] != entropies[1]  # the values one step apart are told apart
+    assert set(entropies) == {entropies[0], entropies[1]}
+
+
+def test_entropy_runs_once_per_flat_value_and_per_other_channel(tmp_path, monkeypatch):
+    rows, cols = 9, 11
+    channels = (0, 5, 17, 40, 95)
+    points = tuple(
+        AnnotationPoint(keypoint_for_channel(k), float(k % cols), float(k % rows))
+        for k in channels
+    )  # channel 0's point sits in the first cell, where a flat argmax is too
+    volume = make_target_volume(FrameAnnotation("f", rows, cols, points), rows, cols)
+    path = tmp_path / "target.pkhv"
+    write_volume(volume, path)
+    calls = []
+    entropy = heatmap._entropy
+
+    def counted(plane, work):
+        calls.append(1)
+        return entropy(plane, work)
+
+    monkeypatch.setattr(heatmap, "_entropy", counted)
+    for run in (lambda: summarize(volume), lambda: read_summary(path)):
+        calls.clear()
+        run()
+        # one per delta channel, one for the single flat value, not 96
+        assert len(calls) == len(channels) + 1
+
+
 def test_sweeps_take_summaries_or_volumes(tmp_path):
     params = SynthParams(frame_rows=72, frame_cols=128, noise=NOISY, seed=9)
     volumes, summaries = [], []
@@ -145,7 +214,7 @@ def _whole_volume_error(data):
     worst = int(np.abs(sums - 1.0).argmax())
     if abs(sums[worst] - 1.0) > 1e-6:
         return ValidationError, (
-            f"channel {worst} sums to {sums[worst]!r}, expected 1 within 1e-06"
+            f"channel {worst} sums to {float(sums[worst])}, expected 1 within 1e-06"
         )
     return None
 
