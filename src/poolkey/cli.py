@@ -92,8 +92,14 @@ def _workers() -> int:
     return value
 
 
+GRID_MAX_POINTS = 10_000  # the longest --grid a sweep accepts
+
+
 def parse_grid(text: str) -> list[float]:
-    """a:b:step, inclusive of b when step divides the range."""
+    """a:b:step, inclusive of b when step divides the range.
+
+    A grid of more than GRID_MAX_POINTS points is a ValidationError.
+    """
     parts = text.split(":")
     if len(parts) != 3:
         raise ValidationError(f"grid must look like a:b:step, got {text!r}")
@@ -107,7 +113,11 @@ def parse_grid(text: str) -> list[float]:
         raise ValidationError("grid step must be positive")
     if stop < start:
         raise ValidationError("grid end must not precede its start")
-    count = int((stop - start) / step + 1e-9) + 1
+    # counted in float arithmetic first: the span may overflow to infinity
+    steps = (stop - start) / step + 1e-9
+    if not steps < GRID_MAX_POINTS:
+        raise ValidationError(f"grid must hold at most {GRID_MAX_POINTS} points")
+    count = int(steps) + 1
     values = [round(start + i * step, 12) for i in range(count)]
     if values and abs(values[-1] - stop) < 1e-9:
         values[-1] = round(stop, 12)  # snap accumulated float error at the end

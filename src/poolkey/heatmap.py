@@ -114,7 +114,7 @@ class HeatmapVolume:
             raise ShapeError(f"expected channels x rows x cols, got shape {arr.shape}")
         if arr.shape[1] < 1 or arr.shape[2] < 1:
             raise ShapeError("volume planes must be non-empty")
-        for _ in _checked_planes(arr):
+        for _ in _checked_planes(([c], plane) for c, plane in enumerate(arr)):
             pass
         arr.setflags(write=False)
         self.data = arr
@@ -135,18 +135,22 @@ class HeatmapVolume:
         return self.data[index]
 
 
-def _checked_planes(planes: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
-    """Validate a volume one float64 channel at a time, yielding the clean ones.
+def _checked_planes(
+    planes: Iterable[tuple[list[int], np.ndarray]],
+) -> Iterator[np.ndarray]:
+    """Validate a volume one float64 plane at a time, yielding the clean ones.
 
-    The errors keep the precedence of a check over the whole volume: a
-    non-finite value in any channel raises NumericError before a negative
-    value in any channel raises ValidationError, which comes before the
-    channel whose sum is furthest from one. Channels after the first negative
-    value are still checked for non-finite values, but no longer yielded.
+    Each plane comes with the channels that hold it: it is checked once and
+    its sum recorded at each of them. The errors keep the precedence of a
+    check over the whole volume: a non-finite value in any channel raises
+    NumericError before a negative value in any channel raises
+    ValidationError, which comes before the channel whose sum is furthest from
+    one. Planes after the first negative value are still checked for
+    non-finite values, but no longer yielded.
     """
-    sums = []
+    sums = {}
     negative = False
-    for plane in planes:
+    for channels, plane in planes:
         with np.errstate(invalid="ignore"):  # inf + -inf is reported below
             total = plane.sum()
         # a finite sum has finite terms; finite terms may still overflow it
@@ -154,11 +158,12 @@ def _checked_planes(planes: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
             raise NumericError("volume contains non-finite values")
         negative = negative or bool(plane.min() < 0)
         if not negative:
-            sums.append(total)
+            for channel in channels:
+                sums[channel] = total
             yield plane
     if negative:
         raise ValidationError("volume contains negative values")
-    sums = np.array(sums)
+    sums = np.array([sums[channel] for channel in range(len(sums))])
     worst = int(np.abs(sums - 1.0).argmax())
     if abs(sums[worst] - 1.0) > CHANNEL_SUM_TOLERANCE:
         raise ValidationError(
@@ -174,7 +179,8 @@ def in_frame(u: float, v: float, rows: int, cols: int) -> bool:
 
 def nearest_cell(coord: float, limit: int) -> int:
     """Half-up rounding to a cell index, clamped into [0, limit)."""
-    return min(max(int(math.floor(coord + 0.5)), 0), limit - 1)
+    # clamped before floor, so that an infinite coord lands on an edge cell
+    return math.floor(min(max(coord + 0.5, 0), limit - 1))
 
 
 def make_target_volume(ann: FrameAnnotation, rows: int, cols: int) -> HeatmapVolume:
@@ -206,20 +212,27 @@ class PeakPlan(NamedTuple):
     peaks: dict[int, tuple[int, int, float]]
     channels = CHANNEL_COUNT
 
-    def planes(self) -> Iterator[np.ndarray]:
-        """Each channel in order, in one reused buffer valid until the next step."""
+    def planes(self) -> Iterator[tuple[list[int], np.ndarray]]:
+        """Each distinct plane and the channels holding it, in one reused buffer.
+
+        The flat plane comes first, then each planned channel in channel
+        order; the buffer is valid until the next step.
+        """
         plane = np.empty((self.rows, self.cols))
+        plane.fill(1.0 / plane.size)
+        yield [c for c in range(self.channels) if c not in self.peaks], plane
         for channel in range(self.channels):
             if channel in self.peaks:
                 row, col, mass = self.peaks[channel]
                 plane.fill((1.0 - mass) / max(plane.size - 1, 1))
                 plane[row, col] = mass
-            else:
-                plane.fill(1.0 / plane.size)
-            yield plane
+                yield [channel], plane
 
     def volume(self) -> HeatmapVolume:
-        return HeatmapVolume([plane.copy() for plane in self.planes()])
+        data = np.empty((self.channels, self.rows, self.cols))
+        for channels, plane in self.planes():
+            data[channels] = plane
+        return HeatmapVolume(data)
 
 
 def softmax_normalize(raw) -> HeatmapVolume:
@@ -358,24 +371,39 @@ def decode(
 def write_volume(volume: HeatmapVolume | PeakPlan, path: str | Path) -> None:
     """Binary layout: magic, u32 version/rows/cols/channels, float32 planes.
 
-    Writes one channel at a time. A plan's planes are checked as a
-    HeatmapVolume's are, and a failed check removes the partial file.
+    Writes one channel at a time. A plan's flat plane is built, checked and
+    cast once, and its float32 bytes written at every flat channel; each
+    planned channel is built, checked and cast on its own. A plan is checked
+    as a HeatmapVolume is, and a failed check removes the partial file.
     """
+    shape = (volume.rows, volume.cols)
     if isinstance(volume, PeakPlan):
-        planes = _checked_planes(volume.planes())
+        planes = _plan_planes(volume)
     else:
-        planes = volume.data
+        planes = _cast_planes(volume.data, shape, "<f4")
     try:
         with open(path, "wb") as handle:
             handle.write(VOLUME_MAGIC)
-            handle.write(
-                _HEADER.pack(VOLUME_VERSION, volume.rows, volume.cols, volume.channels)
-            )
-            for plane in _cast_planes(planes, (volume.rows, volume.cols), "<f4"):
+            handle.write(_HEADER.pack(VOLUME_VERSION, *shape, volume.channels))
+            for plane in planes:
                 handle.write(plane)
     except PoolError:
         Path(path).unlink(missing_ok=True)
         raise
+
+
+def _plan_planes(plan: PeakPlan) -> Iterator[np.ndarray]:
+    """A plan's checked float32 planes in channel order.
+
+    PeakPlan.planes yields the flat plane first, so its cast is kept for every
+    flat channel; the planned planes follow in channel order, one per step.
+    """
+    checked = _checked_planes(plan.planes())
+    cast = _cast_planes(checked, (plan.rows, plan.cols), "<f4")
+    flat = next(cast).copy()
+    for channel in range(plan.channels):
+        yield next(cast) if channel in plan.peaks else flat
+    next(cast, None)  # the whole-volume verdict runs once every plane is in
 
 
 def _read_header(handle: BinaryIO, path: str | Path) -> tuple[int, int, int]:
@@ -463,7 +491,8 @@ def read_summary(path: str | Path) -> ChannelSummary:
         raw = np.empty((rows, cols), "<f4")
         planes = (_read_into(handle, raw) for _ in range(channels))
         with _non_finite_is_bad_bytes(handle, raw):
-            planes = _checked_planes(_cast_planes(planes, raw.shape, np.float64))
+            planes = enumerate(_cast_planes(planes, raw.shape, np.float64))
+            planes = _checked_planes(([c], plane) for c, plane in planes)
             return _summarize_planes(rows, cols, planes)
 
 

@@ -531,6 +531,37 @@ def test_parse_grid_errors():
             parse_grid(bad)
 
 
+@pytest.mark.parametrize(
+    "text", ["0:1e308:1e-300", "0:1:1e-300", "-1e308:1e308:1", "0:10000:1"]
+)
+def test_parse_grid_rejects_grids_longer_than_the_limit(text):
+    from poolkey import ValidationError
+    from poolkey.cli import GRID_MAX_POINTS
+
+    with pytest.raises(ValidationError, match=f"at most {GRID_MAX_POINTS} points"):
+        parse_grid(text)
+
+
+def test_parse_grid_builds_a_grid_at_the_limit():
+    from poolkey.cli import GRID_MAX_POINTS
+
+    grid = parse_grid(f"0:{GRID_MAX_POINTS - 1}:1")
+    assert grid == [float(i) for i in range(GRID_MAX_POINTS)]
+
+
+@pytest.mark.parametrize("grid", ["0:1e308:1e-300", "0:1:1e-300"])
+def test_sweep_with_an_overlong_grid_is_one_error_line(
+    workspace, tmp_path, capsys, grid
+):
+    data = workspace / "data"
+    argv = ["sweep", "--mode", "beta", "--grid", grid, "--out", str(tmp_path / "x.csv"),
+            "--pred-dir", str(data / "volumes"), "--gt-dir", str(data / "annotations")]
+    assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert err == "error: validation: grid must hold at most 10000 points\n"
+    assert not (tmp_path / "x.csv").exists()
+
+
 def _nan_volume(path, channel=3, cell=5) -> int:
     """A 96x4x4 volume file with one NaN; returns the NaN's byte offset."""
     data = np.full((96, 4, 4), 1.0 / 16, dtype="<f4")
@@ -670,6 +701,23 @@ def test_non_finite_arguments_are_one_error_line(
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert err.startswith("error: validation:") and message in err, err
+
+
+def test_synth_with_a_huge_loc_sigma_puts_peaks_on_edge_cells(
+    workspace, tmp_path, capsys
+):
+    # the jitter overflows to infinity, which nearest_cell clamps to the edge
+    argv = ["synth", "--model", str(workspace / "model.json"), "--rows", "72",
+            "--cols", "128", "--loc-sigma", "1e308", "--out", str(tmp_path / "out")]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+    volume = tmp_path / "out" / "volumes" / "scene_0000.pkhv"
+    det_path = tmp_path / "d.json"
+    assert main(["decode", "--volume", str(volume), "--out", str(det_path)]) == 0
+    detections = json.loads(det_path.read_text())["points"]
+    assert detections
+    for point in detections:
+        assert point["u"] in (0.0, 127.0) and point["v"] in (0.0, 71.0), point
 
 
 def test_unreadable_file_is_one_error_line(workspace, capsys, monkeypatch):

@@ -28,6 +28,7 @@ from poolkey import (
     softmax_normalize,
     write_volume,
 )
+from poolkey import heatmap
 from poolkey.heatmap import PeakPlan, nearest_cell
 from poolkey.model import KeyPointClass, KeyPointId, canonical_channel_index
 
@@ -53,6 +54,24 @@ def test_nearest_cell_half_up_and_clamped():
     assert nearest_cell(-0.3, 10) == 0
     assert nearest_cell(9.7, 10) == 9
     assert nearest_cell(42.0, 10) == 9
+    assert nearest_cell(math.inf, 10) == 9
+    assert nearest_cell(-math.inf, 10) == 0
+    assert nearest_cell(math.inf, 1) == nearest_cell(-math.inf, 1) == 0
+
+
+@pytest.mark.parametrize("limit", [1, 2, 10, 512])
+def test_nearest_cell_of_a_finite_coord_is_the_clamped_floor(limit):
+    below = np.nextafter(0.5, 0.0)
+    coords = [
+        *np.linspace(-3.0, limit + 3.0, 8 * (limit + 6) + 1),
+        *(edge + offset for edge in (-1.0, 0.0, limit - 1.0, float(limit))
+          for offset in (-0.5, -below, 0.5, below, np.nextafter(-0.5, -1.0))),
+        -0.0, 2.0**53, -(2.0**53), 1e20, -1e20, 1e308, -1e308,
+    ]
+    for coord in coords:
+        floor = min(max(int(math.floor(coord + 0.5)), 0), limit - 1)
+        cell = nearest_cell(coord, limit)
+        assert type(cell) is int and cell == floor, coord
 
 
 def test_target_volume_delta_and_flat():
@@ -299,16 +318,55 @@ def test_file_header_fields(tmp_path):
     [
         (PeakPlan(2, 2, {40: (1, 0, math.nan)}), NumericError),
         (PeakPlan(1, 1, {7: (0, 0, 0.5)}), ValidationError),
+        (PeakPlan(2, 3, {0: (1, 2, -0.5)}), ValidationError),
+        (PeakPlan(2, 3, {20: (0, 0, 1.5), 61: (1, 1, math.nan)}), NumericError),
+        (PeakPlan(1, 1, {3: (0, 0, 0.5), 50: (0, 0, 1.5), 51: (0, 0, 1.0)}),
+         ValidationError),
+        (PeakPlan(1, 1, {95: (0, 0, 0.25)}), ValidationError),
     ],
-    ids=["nan-plane", "wrong-sum"],
+    ids=["nan-plane", "wrong-sum", "negative-before-flat", "nan-after-negative",
+         "tied-sums-between-flat", "wrong-sum-after-flat"],
 )
 def test_failed_streamed_write_leaves_no_file(tmp_path, plan, error):
     with pytest.raises(error) as built:
-        HeatmapVolume([plane.copy() for plane in plan.planes()])
+        plan.volume()
     path = tmp_path / "v.pkhv"
     with pytest.raises(error, match=f"^{re.escape(str(built.value))}$"):
         write_volume(plan, path)
     assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "planned",
+    [[0], [95], [3, 40, 41, 95], list(range(1, 95))],
+    ids=["first", "last", "four", "all-but-two"],
+)
+def test_plan_write_builds_checks_and_casts_each_distinct_plane_once(
+    tmp_path, monkeypatch, planned
+):
+    rng = np.random.default_rng(len(planned))
+    peaks = {c: (int(rng.integers(4)), int(rng.integers(7)), 0.7) for c in planned}
+    plan = PeakPlan(4, 7, peaks)
+    write_volume(plan.volume(), tmp_path / "built.pkhv")
+    steps = {}
+
+    def counted(step, planes):
+        def counting(*args):
+            for plane in planes(*args):
+                steps[step] = steps.get(step, 0) + 1
+                yield plane
+
+        return counting
+
+    monkeypatch.setattr(PeakPlan, "planes", counted("fill", PeakPlan.planes))
+    for step, name in (("check", "_checked_planes"), ("cast", "_cast_planes")):
+        monkeypatch.setattr(heatmap, name, counted(step, getattr(heatmap, name)))
+    write_volume(plan, tmp_path / "plan.pkhv")
+    # k planned channels and one flat plane, not 96 planes
+    k = len(planned)
+    assert steps == {"fill": k + 1, "check": k + 1, "cast": k + 1}
+    built = (tmp_path / "built.pkhv").read_bytes()
+    assert (tmp_path / "plan.pkhv").read_bytes() == built
 
 
 def test_read_volume_error_offsets(tmp_path):
