@@ -12,7 +12,6 @@ import logging
 import math
 import os
 import struct
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, NamedTuple
@@ -103,21 +102,18 @@ class DetectionSet(FrameAnnotation):
 class HeatmapVolume:
     """C stacked M x N probability maps; every channel sums to one.
 
-    Data is stored float64 and marked read-only after validation.
+    Data is copied into a float64 array, never aliased, and marked read-only
+    after validation.
     """
 
     __slots__ = ("data",)
 
     def __init__(self, data):
-        arr = np.array(data, dtype=np.float64)
-        if arr.ndim != 3:
-            raise ShapeError(f"expected channels x rows x cols, got shape {arr.shape}")
-        if arr.shape[1] < 1 or arr.shape[2] < 1:
-            raise ShapeError("volume planes must be non-empty")
-        for _ in _checked_planes(([c], plane) for c, plane in enumerate(arr)):
-            pass
-        arr.setflags(write=False)
-        self.data = arr
+        # C order keeps each plane's sum in the order of a contiguous copy
+        arr = np.asarray(data, dtype=np.float64, order="C")
+        if arr.ndim != 3 or 0 in arr.shape:
+            raise ShapeError(f"need non-empty channels x rows x cols, got {arr.shape}")
+        self.data = _filled(arr.shape, enumerate(arr)).data
 
     @property
     def channels(self) -> int:
@@ -135,35 +131,47 @@ class HeatmapVolume:
         return self.data[index]
 
 
-def _checked_planes(
-    planes: Iterable[tuple[list[int], np.ndarray]],
-) -> Iterator[np.ndarray]:
-    """Validate a volume one float64 plane at a time, yielding the clean ones.
+def _filled(shape: tuple[int, int, int], planes: Iterable) -> HeatmapVolume:
+    """A volume of shape holding the checked (channels, plane) pairs.
 
-    Each plane comes with the channels that hold it: it is checked once and
-    its sum recorded at each of them. The errors keep the precedence of a
-    check over the whole volume: a non-finite value in any channel raises
-    NumericError before a negative value in any channel raises
-    ValidationError, which comes before the channel whose sum is furthest from
-    one. Planes after the first negative value are still checked for
-    non-finite values, but no longer yielded.
+    The planes are copied into one fresh array, marked read-only once checked.
     """
-    sums = {}
+    data = np.empty(shape)
+    for channels, plane in _checked_planes(shape[0], planes):
+        data[channels] = plane
+    data.setflags(write=False)
+    volume = object.__new__(HeatmapVolume)
+    volume.data = data
+    return volume
+
+
+def _checked_planes(
+    count: int, planes: Iterable[tuple[int | list[int], np.ndarray]]
+) -> Iterator[tuple[int | list[int], np.ndarray]]:
+    """Validate a volume of count channels one float64 plane at a time.
+
+    Each plane comes with the channel or channels that hold it: it is checked
+    once and its sum recorded at each of them, and the clean pairs are yielded.
+    The errors keep the precedence of a check over the whole volume: a
+    non-finite value in any channel raises NumericError before a negative
+    value in any channel raises ValidationError, which comes before the
+    channel whose sum is furthest from one. Planes after the first negative
+    value are still checked for non-finite values, but no longer yielded.
+    """
+    sums = np.empty(count)
     negative = False
     for channels, plane in planes:
-        with np.errstate(invalid="ignore"):  # inf + -inf is reported below
-            total = plane.sum()
+        # inf + -inf and a sum beyond the float range are reported below
+        with np.errstate(invalid="ignore", over="ignore"):
+            sums[channels] = total = plane.sum()
         # a finite sum has finite terms; finite terms may still overflow it
         if not math.isfinite(total) and not np.isfinite(plane).all():
             raise NumericError("volume contains non-finite values")
         negative = negative or bool(plane.min() < 0)
         if not negative:
-            for channel in channels:
-                sums[channel] = total
-            yield plane
+            yield channels, plane
     if negative:
         raise ValidationError("volume contains negative values")
-    sums = np.array([sums[channel] for channel in range(len(sums))])
     worst = int(np.abs(sums - 1.0).argmax())
     if abs(sums[worst] - 1.0) > CHANNEL_SUM_TOLERANCE:
         raise ValidationError(
@@ -229,17 +237,14 @@ class PeakPlan(NamedTuple):
                 yield [channel], plane
 
     def volume(self) -> HeatmapVolume:
-        data = np.empty((self.channels, self.rows, self.cols))
-        for channels, plane in self.planes():
-            data[channels] = plane
-        return HeatmapVolume(data)
+        return _filled((self.channels, self.rows, self.cols), self.planes())
 
 
 def softmax_normalize(raw) -> HeatmapVolume:
     """Per-channel softmax with max subtraction for numerical stability."""
     arr = np.asarray(raw, dtype=np.float64)
-    if arr.ndim != 3:
-        raise ShapeError(f"expected channels x rows x cols logits, got {arr.shape}")
+    if arr.ndim != 3 or 0 in arr.shape:
+        raise ShapeError(f"need non-empty channels x rows x cols, got {arr.shape}")
     if not np.isfinite(arr).all():
         raise NumericError("logits contain non-finite values")
     shifted = arr - arr.max(axis=(1, 2), keepdims=True)
@@ -253,7 +258,10 @@ def cross_entropy_loss(target: HeatmapVolume, pred: HeatmapVolume) -> float:
         raise ShapeError(
             f"target shape {target.data.shape} != prediction shape {pred.data.shape}"
         )
-    return float(-np.sum(target.data * np.log(np.maximum(pred.data, LOG_CLAMP))))
+    terms = np.maximum(pred.data, LOG_CLAMP)
+    np.log(terms, out=terms)
+    terms *= target.data
+    return float(-np.sum(terms))
 
 
 def channel_entropy(channel) -> float:
@@ -371,10 +379,8 @@ def decode(
 def write_volume(volume: HeatmapVolume | PeakPlan, path: str | Path) -> None:
     """Binary layout: magic, u32 version/rows/cols/channels, float32 planes.
 
-    Writes one channel at a time. A plan's flat plane is built, checked and
-    cast once, and its float32 bytes written at every flat channel; each
-    planned channel is built, checked and cast on its own. A plan is checked
-    as a HeatmapVolume is, and a failed check removes the partial file.
+    Writes one channel at a time. A plan is checked as a HeatmapVolume is, and
+    a failed check removes the partial file.
     """
     shape = (volume.rows, volume.cols)
     if isinstance(volume, PeakPlan):
@@ -385,20 +391,18 @@ def write_volume(volume: HeatmapVolume | PeakPlan, path: str | Path) -> None:
         with open(path, "wb") as handle:
             handle.write(VOLUME_MAGIC)
             handle.write(_HEADER.pack(VOLUME_VERSION, *shape, volume.channels))
-            for plane in planes:
-                handle.write(plane)
+            # a plane beyond the float32 range always fails the sum check
+            with np.errstate(over="ignore"):
+                for plane in planes:
+                    handle.write(plane)
     except PoolError:
         Path(path).unlink(missing_ok=True)
         raise
 
 
 def _plan_planes(plan: PeakPlan) -> Iterator[np.ndarray]:
-    """A plan's checked float32 planes in channel order.
-
-    PeakPlan.planes yields the flat plane first, so its cast is kept for every
-    flat channel; the planned planes follow in channel order, one per step.
-    """
-    checked = _checked_planes(plan.planes())
+    """A plan's checked float32 planes in channel order, the flat one cast once."""
+    checked = (plane for _, plane in _checked_planes(plan.channels, plan.planes()))
     cast = _cast_planes(checked, (plan.rows, plan.cols), "<f4")
     flat = next(cast).copy()
     for channel in range(plan.channels):
@@ -453,18 +457,21 @@ def _read_into(handle: BinaryIO, buffer: np.ndarray) -> np.ndarray:
     return buffer
 
 
-@contextmanager
-def _non_finite_is_bad_bytes(handle: BinaryIO, buffer: np.ndarray):
-    """Report a NaN or infinity as a format error at its offset in the file.
+def _file_planes(handle: BinaryIO, shape: tuple) -> Iterator[tuple[int, np.ndarray]]:
+    """The payload's checked (channel, float64 plane) pairs, in one reused buffer.
 
-    buffer holds the payload bytes read last from handle, where the first
-    non-finite value is.
+    A NaN or infinity is a format error at its offset in the file.
     """
+    raw = np.empty(shape[1:], "<f4")
+    planes = (_read_into(handle, raw) for _ in range(shape[0]))
     try:
-        yield
+        yield from _checked_planes(
+            shape[0], enumerate(_cast_planes(planes, raw.shape, np.float64))
+        )
     except NumericError:
-        first = int(np.isfinite(buffer).argmin())
-        start = handle.tell() - buffer.nbytes
+        # raw holds the plane read last, where the first non-finite value is
+        first = int(np.isfinite(raw).argmin())
+        start = handle.tell() - raw.nbytes
         raise FormatError(
             "non-finite value in payload", offset=start + 4 * first
         ) from None
@@ -473,27 +480,18 @@ def _non_finite_is_bad_bytes(handle: BinaryIO, buffer: np.ndarray):
 def read_volume(path: str | Path) -> HeatmapVolume:
     with open(path, "rb") as handle:
         shape = _read_header(handle, path)
-        payload = _read_into(handle, np.empty(shape, "<f4"))
-        with _non_finite_is_bad_bytes(handle, payload):
-            return HeatmapVolume(payload)
+        return _filled(shape, _file_planes(handle, shape))
 
 
 def read_summary(path: str | Path) -> ChannelSummary:
-    """The summary of a volume file, validated as read_volume validates it.
+    """The summary of a volume file, read and validated as read_volume does.
 
-    Reads the float32 payload one channel at a time into one reused buffer
-    and casts it into one reused float64 plane; with the entropy's float64
-    work plane, memory holds three planes, never the whole file. Every error,
-    and every byte offset it names, is the one read_volume gives.
+    Memory holds three planes, never the whole file.
     """
     with open(path, "rb") as handle:
-        channels, rows, cols = _read_header(handle, path)
-        raw = np.empty((rows, cols), "<f4")
-        planes = (_read_into(handle, raw) for _ in range(channels))
-        with _non_finite_is_bad_bytes(handle, raw):
-            planes = enumerate(_cast_planes(planes, raw.shape, np.float64))
-            planes = _checked_planes(([c], plane) for c, plane in planes)
-            return _summarize_planes(rows, cols, planes)
+        shape = _read_header(handle, path)
+        planes = (plane for _, plane in _file_planes(handle, shape))
+        return _summarize_planes(*shape[1:], planes)
 
 
 def _cast_planes(planes, shape, dtype) -> Iterator[np.ndarray]:

@@ -416,7 +416,9 @@ def fit_ransac(corrs: Sequence[Correspondence], params: RansacParams) -> RansacF
     degenerate = 0
     for start in range(0, params.iterations, RANSAC_BLOCK):
         draws = min(RANSAC_BLOCK, params.iterations - start)
-        sample = np.array([rng.permutation(len(corrs))[:width] for _ in range(draws)])
+        # the rows and the generator state of one rng.permutation(n) per draw
+        order = np.tile(np.arange(len(corrs)), (draws, 1))
+        sample = rng.permuted(order, axis=1)[:, :width]
         size = (np.cumsum(equations[sample], axis=1) < MIN_EQUATIONS).sum(axis=1) + 1
         h, degenerate_fit = _fit_block(sample, size, image, base, equations)
         degenerate += int(degenerate_fit.sum())

@@ -184,20 +184,6 @@ def evaluate(
     )
 
 
-def check_beta_grid(betas: Sequence[float]) -> None:
-    """Reject a beta grid value outside [0, 1]."""
-    for beta in betas:
-        if not 0.0 <= beta <= 1.0:
-            raise ValidationError(f"beta grid value {beta} outside [0, 1]")
-
-
-def check_tolerance_grid(tolerances_px: Sequence[float]) -> None:
-    """Reject a tolerance grid value that is not positive."""
-    for tolerance in tolerances_px:
-        if not tolerance > 0:
-            raise ValidationError(f"tolerance grid value {tolerance} must be positive")
-
-
 def _summarized(frame: HeatmapVolume | ChannelSummary) -> ChannelSummary:
     return frame if isinstance(frame, ChannelSummary) else summarize(frame)
 
@@ -212,7 +198,9 @@ def beta_sweep(
     Each frame is summarized once and gated at every beta. The arguments
     are checked before the first frame is taken from ``volumes_gt``.
     """
-    check_beta_grid(betas)
+    for beta in betas:
+        if not 0.0 <= beta <= 1.0:
+            raise ValidationError(f"beta grid value {beta} outside [0, 1]")
     eval_params = EvalParams(tolerance_px=tolerance_px)
     summaries = [(_summarized(frame), ann) for frame, ann in volumes_gt]
     curve = []
@@ -235,7 +223,9 @@ def tolerance_sweep(
     evaluated. The arguments are checked before the first frame is taken
     from ``volumes_gt``.
     """
-    check_tolerance_grid(tolerances_px)
+    for tolerance in tolerances_px:
+        if not tolerance > 0:
+            raise ValidationError(f"tolerance grid value {tolerance} must be positive")
     params = DecodeParams(beta)
     pairs = [
         (gate(_summarized(frame), params, ann.frame_id), ann)

@@ -3,6 +3,7 @@
 import logging
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from poolkey import (
     write_volume,
 )
 from poolkey import heatmap
-from poolkey.heatmap import PeakPlan, nearest_cell
+from poolkey.heatmap import LOG_CLAMP, PeakPlan, nearest_cell
 from poolkey.model import KeyPointClass, KeyPointId, canonical_channel_index
 
 WL0 = KeyPointId(KeyPointClass.WALL_LEFT, 0)
@@ -140,6 +141,21 @@ def test_softmax_rejects_non_finite():
         softmax_normalize(bad)
 
 
+@pytest.mark.parametrize(
+    "build, shape",
+    [
+        (HeatmapVolume, (0, 2, 2)),
+        (HeatmapVolume, (1, 0, 2)),
+        (HeatmapVolume, (1, 2, 0)),
+        (softmax_normalize, (1, 0, 3)),
+        (softmax_normalize, (0, 2, 2)),
+    ],
+)
+def test_an_empty_axis_is_a_shape_error(build, shape):
+    with pytest.raises(ShapeError):
+        build(np.zeros(shape))
+
+
 def test_loss_brute_force_oracle():
     """Vectorized loss against an explicit per-cell double sum."""
     rng = np.random.default_rng(101)
@@ -179,6 +195,19 @@ def test_loss_gibbs_inequality():
         pred = softmax_normalize(rng.normal(0, 2, size=(2, 3, 5)))
         self_entropy = sum(channel_entropy(target.channel(i)) for i in range(2))
         assert cross_entropy_loss(target, pred) >= self_entropy - 1e-9
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 1), (3, 7, 11), (5, 37, 53), (96, 36, 64)])
+def test_loss_is_bit_equal_to_the_whole_volume_formula(shape):
+    rng = np.random.default_rng(sum(shape))
+    for scale in (1.0, 40.0):  # the wider logits put predictions below the clamp
+        target = softmax_normalize(rng.normal(0, scale, size=shape))
+        pred = softmax_normalize(rng.normal(0, scale, size=shape))
+        clamped = np.maximum(pred.data, LOG_CLAMP)
+        expected = float(-np.sum(target.data * np.log(clamped)))
+        assert cross_entropy_loss(target, pred).hex() == expected.hex()
+    if shape[1] * shape[2] > 1:
+        assert (pred.data < LOG_CLAMP).any()
 
 
 def test_loss_shape_mismatch():
@@ -280,6 +309,24 @@ def test_volume_validation():
         HeatmapVolume(np.full((1, 2, 2), np.nan))
 
 
+def test_volume_copies_its_input():
+    data = np.full((2, 2, 2), 0.25)
+    vol = HeatmapVolume(data)
+    data[0, 0, 0] = 0.5
+    assert np.all(vol.data == 0.25)
+
+
+def test_volume_checks_do_not_depend_on_the_input_layout():
+    # a strided plane may sum in another order than its C-order copy
+    data = np.random.default_rng(2).random((1, 37, 53))
+    messages = set()
+    for layout in (data, np.asfortranarray(data), np.repeat(data, 2, axis=2)[..., ::2]):
+        with pytest.raises(ValidationError) as err:
+            HeatmapVolume(layout)
+        messages.add(str(err.value))
+    assert len(messages) == 1, messages
+
+
 def test_volume_data_is_read_only():
     vol = HeatmapVolume(np.full((1, 2, 2), 0.25))
     with pytest.raises(ValueError):
@@ -333,6 +380,23 @@ def test_failed_streamed_write_leaves_no_file(tmp_path, plan, error):
     path = tmp_path / "v.pkhv"
     with pytest.raises(error, match=f"^{re.escape(str(built.value))}$"):
         write_volume(plan, path)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda path: write_volume(PeakPlan(1, 1, {4: (0, 0, 1e300)}), path),
+        lambda path: HeatmapVolume(np.full((1, 1, 2), 1e308)),
+    ],
+    ids=["plan-beyond-float32", "sum-beyond-float64"],
+)
+def test_values_beyond_the_float_range_are_validation_errors(tmp_path, build):
+    path = tmp_path / "v.pkhv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError):
+            build(path)
     assert not path.exists()
 
 

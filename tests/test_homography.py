@@ -360,6 +360,19 @@ def test_block_ransac_matches_the_per_draw_loop(iterations, outlier_share, line_
         assert np.array_equal(mask, expected[1])
 
 
+@pytest.mark.parametrize("draws", [1, 17, RANSAC_BLOCK])
+@pytest.mark.parametrize("n", [9, 12, 23, 40, 57])
+def test_one_permuted_block_draws_one_permutation_per_row(n, draws):
+    # fit_ransac draws a block this way; a numpy release that changes the
+    # stream would change every RANSAC output, and fails here first
+    for seed in range(5):
+        per_draw, block = np.random.default_rng(seed), np.random.default_rng(seed)
+        expected = np.array([per_draw.permutation(n) for _ in range(draws)])
+        rows = block.permuted(np.tile(np.arange(n), (draws, 1)), axis=1)
+        assert np.array_equal(rows, expected)
+        assert block.bit_generator.state == per_draw.bit_generator.state
+
+
 @pytest.mark.parametrize("line_share", [0.0, 0.4], ids=["points", "points-lines"])
 def test_block_hypotheses_match_per_sample_fits(line_share):
     # the batched SVD and the masked normalizers sum in another order than

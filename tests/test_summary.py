@@ -376,6 +376,49 @@ def test_a_file_that_shrinks_while_read_is_a_format_error(tmp_path, monkeypatch)
     assert _outcome(read_summary, path) == (FormatError, message)
 
 
+def _whole_payload(path) -> np.ndarray:
+    """A volume file's float32 payload, read in one piece."""
+    blob = path.read_bytes()
+    _, rows, cols, channels = np.frombuffer(blob, "<u4", count=4, offset=4)
+    return np.frombuffer(blob, "<f4", offset=20).reshape(channels, rows, cols)
+
+
+@pytest.mark.parametrize("name", ["synth", "softmax", "three-channel"])
+def test_read_volume_equals_the_whole_payload_cast(tmp_path, name):
+    rng = np.random.default_rng(17)
+    params = SynthParams(frame_rows=72, frame_cols=128, noise=NOISY, seed=1)
+    source = {
+        "synth": lambda: make_scene(MODEL, params, 0).plan,
+        "softmax": lambda: softmax_normalize(rng.normal(0, 3, size=(96, 9, 11))),
+        "three-channel": lambda: softmax_normalize(rng.normal(0, 3, size=(3, 5, 4))),
+    }[name]
+    path = tmp_path / "v.pkhv"
+    write_volume(source(), path)
+    loaded = read_volume(path).data
+    payload = _whole_payload(path)
+    for expected in (HeatmapVolume(payload).data, payload.astype(np.float64)):
+        assert loaded.shape == expected.shape
+        assert np.array_equal(_bits(loaded), _bits(expected))
+
+
+@pytest.mark.parametrize("build", ["read_volume", "plan.volume"])
+def test_a_volume_is_held_once_while_built(tmp_path, build):
+    rows, cols = 72, 128
+    path = tmp_path / "v.pkhv"
+    params = SynthParams(frame_rows=rows, frame_cols=cols, noise=NOISY, seed=3)
+    plan = make_scene(MODEL, params, 0).plan
+    write_volume(plan, path)
+    builder = {"read_volume": lambda: read_volume(path), "plan.volume": plan.volume}
+    builder[build]()  # lazy imports and caches stay out of the peak
+    tracemalloc.start()
+    try:
+        volume = builder[build]()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * volume.data.nbytes, peak
+
+
 def test_read_summary_never_holds_the_payload(tmp_path):
     rows, cols = 72, 128
     path = tmp_path / "v.pkhv"

@@ -82,8 +82,6 @@ def test_a_plan_writes_the_bytes_of_its_volume(tmp_path_factory, plan):
     assert streamed == b"PKHV" + words + _reference_data(plan).astype("<f4").tobytes()
 
 
-# a mass beyond the float32 range is cast before the sum check rejects it
-@pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
 @EXAMPLES
 @given(
     plan=_plans(),
