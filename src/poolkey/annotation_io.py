@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import math
 import xml.etree.ElementTree as ET
 from dataclasses import fields
@@ -10,7 +9,7 @@ from pathlib import Path
 
 from .errors import FormatError, ValidationError
 from .heatmap import AnnotationPoint, Detection, DetectionSet, FrameAnnotation
-from .model import KeyPointId, _point_id, _read_json, _require
+from .model import KeyPointId, _point_id, _read_json, _require, _write_json
 
 
 def _value_fields(point_type) -> list[str]:
@@ -70,7 +69,7 @@ def read_annotation(path: str | Path) -> FrameAnnotation:
 
 
 def write_annotation(ann: FrameAnnotation, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(annotation_to_dict(ann), indent=2) + "\n")
+    _write_json(annotation_to_dict(ann), path)
 
 
 def read_detections(path: str | Path) -> DetectionSet:
@@ -78,7 +77,7 @@ def read_detections(path: str | Path) -> DetectionSet:
 
 
 def write_detections(dets: DetectionSet, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(detections_to_dict(dets), indent=2) + "\n")
+    _write_json(detections_to_dict(dets), path)
 
 
 def parse_cvat(xml_text: str) -> list[FrameAnnotation]:

@@ -9,7 +9,6 @@ single line "error: <category>: <message>" on stderr, and warnings a line
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import math
 import os
@@ -56,6 +55,7 @@ from .metrics import (
 from .model import (
     _BULKHEAD_LANE_COUNTS,
     PoolConfig,
+    _write_json,
     build_base_model,
     model_to_dict,
     read_model,
@@ -158,13 +158,6 @@ def _load_pairs(pred_dir: str, gt_dir: str):
     yield from thread_map(load, _pair_files(pred_dir, gt_dir), workers)
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        print(text)
-    else:
-        Path(out).write_text(text + "\n")
-
-
 def _cmd_model(args) -> int:
     bulkhead = args.bulkhead
     if bulkhead is None:
@@ -173,7 +166,7 @@ def _cmd_model(args) -> int:
         lanes=args.lanes, length_m=args.length, bumpers=args.bumpers, bulkhead=bulkhead
     )
     model = build_base_model(config)
-    _emit(json.dumps(model_to_dict(model), indent=2), args.out)
+    _write_json(model_to_dict(model), args.out)
     return 0
 
 
@@ -200,7 +193,7 @@ def _cmd_synth(args) -> int:
 def _cmd_decode(args) -> int:
     params = DecodeParams(args.beta)
     detections = gate(read_summary(args.volume), params, Path(args.volume).stem)
-    _emit(json.dumps(detections_to_dict(detections), indent=2), args.out)
+    _write_json(detections_to_dict(detections), args.out)
     return 0
 
 
@@ -220,7 +213,7 @@ def _cmd_eval(args) -> int:
     ]
     report = evaluate(frames, eval_params)
     if args.out is None:
-        print(json.dumps(report_to_dict(report), indent=2))
+        _write_json(report_to_dict(report))
     else:
         write_report_json(report, args.out)
         print(f"mean_f1 {report.mean_f1!r}")
@@ -256,8 +249,7 @@ def _cmd_localize(args) -> int:
             iterations=args.iters, inlier_threshold_px=args.threshold, seed=args.seed
         ),
     )
-    text = json.dumps(localize_result_to_dict(result, detections.frame_id), indent=2)
-    _emit(text, args.out)
+    _write_json(localize_result_to_dict(result, detections.frame_id), args.out)
     return 0
 
 

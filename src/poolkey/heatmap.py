@@ -224,8 +224,21 @@ class PeakPlan(NamedTuple):
         """Each distinct plane and the channels holding it, in one reused buffer.
 
         The flat plane comes first, then each planned channel in channel
-        order; the buffer is valid until the next step.
+        order; the buffer is valid until the next step. The plan is checked
+        at the call, before any plane is built: an empty grid is a ShapeError,
+        a channel outside [0, channels) a ValidationError and a cell off the
+        grid an OutOfBoundsError.
         """
+        if self.rows < 1 or self.cols < 1:
+            raise ShapeError(f"plan grid {self.rows}x{self.cols} is empty")
+        for channel, (row, col, _) in self.peaks.items():
+            if not 0 <= channel < self.channels:
+                raise ValidationError(f"channel {channel} not in [0, {self.channels})")
+            if not (0 <= row < self.rows and 0 <= col < self.cols):
+                raise OutOfBoundsError(f"channel {channel} cell {row, col} is off-grid")
+        return self._filled_planes()
+
+    def _filled_planes(self) -> Iterator[tuple[list[int], np.ndarray]]:
         plane = np.empty((self.rows, self.cols))
         plane.fill(1.0 / plane.size)
         yield [c for c in range(self.channels) if c not in self.peaks], plane
@@ -247,9 +260,9 @@ def softmax_normalize(raw) -> HeatmapVolume:
         raise ShapeError(f"need non-empty channels x rows x cols, got {arr.shape}")
     if not np.isfinite(arr).all():
         raise NumericError("logits contain non-finite values")
-    shifted = arr - arr.max(axis=(1, 2), keepdims=True)
-    exp = np.exp(shifted)
-    return HeatmapVolume(exp / exp.sum(axis=(1, 2), keepdims=True))
+    exp = arr - arr.max(axis=(1, 2), keepdims=True)
+    np.exp(exp, out=exp)
+    return HeatmapVolume(np.divide(exp, exp.sum(axis=(1, 2), keepdims=True), out=exp))
 
 
 def cross_entropy_loss(target: HeatmapVolume, pred: HeatmapVolume) -> float:
@@ -317,11 +330,7 @@ class ChannelSummary:
 
 
 def _summarize_planes(rows: int, cols: int, planes) -> ChannelSummary:
-    """Summarize validated float64 planes, which may share one reused buffer.
-
-    Every plane has one size, so a flat plane's entropy depends only on its
-    value: it is computed for the first flat plane of each value, then reused.
-    """
+    """Summarize validated float64 planes of one size, which may share one buffer."""
     work = np.empty(rows * cols)
     flat = {}  # value -> entropy of the flat planes holding it
     entropies, cells = [], []
@@ -379,35 +388,26 @@ def decode(
 def write_volume(volume: HeatmapVolume | PeakPlan, path: str | Path) -> None:
     """Binary layout: magic, u32 version/rows/cols/channels, float32 planes.
 
-    Writes one channel at a time. A plan is checked as a HeatmapVolume is, and
-    a failed check removes the partial file.
+    A plan is checked as a HeatmapVolume is, and a failed check leaves no file.
     """
     shape = (volume.rows, volume.cols)
     if isinstance(volume, PeakPlan):
-        planes = _plan_planes(volume)
+        pairs = _checked_planes(volume.channels, volume.planes())
     else:
-        planes = _cast_planes(volume.data, shape, "<f4")
+        pairs = enumerate(volume.data)
     try:
         with open(path, "wb") as handle:
             handle.write(VOLUME_MAGIC)
             handle.write(_HEADER.pack(VOLUME_VERSION, *shape, volume.channels))
             # a plane beyond the float32 range always fails the sum check
             with np.errstate(over="ignore"):
-                for plane in planes:
-                    handle.write(plane)
+                for channels, plane in _cast_planes(pairs, shape, "<f4"):
+                    for channel in np.atleast_1d(channels):
+                        handle.seek(_PAYLOAD_OFFSET + channel * plane.nbytes)
+                        handle.write(plane)
     except PoolError:
         Path(path).unlink(missing_ok=True)
         raise
-
-
-def _plan_planes(plan: PeakPlan) -> Iterator[np.ndarray]:
-    """A plan's checked float32 planes in channel order, the flat one cast once."""
-    checked = (plane for _, plane in _checked_planes(plan.channels, plan.planes()))
-    cast = _cast_planes(checked, (plan.rows, plan.cols), "<f4")
-    flat = next(cast).copy()
-    for channel in range(plan.channels):
-        yield next(cast) if channel in plan.peaks else flat
-    next(cast, None)  # the whole-volume verdict runs once every plane is in
 
 
 def _read_header(handle: BinaryIO, path: str | Path) -> tuple[int, int, int]:
@@ -466,7 +466,7 @@ def _file_planes(handle: BinaryIO, shape: tuple) -> Iterator[tuple[int, np.ndarr
     planes = (_read_into(handle, raw) for _ in range(shape[0]))
     try:
         yield from _checked_planes(
-            shape[0], enumerate(_cast_planes(planes, raw.shape, np.float64))
+            shape[0], _cast_planes(enumerate(planes), raw.shape, np.float64)
         )
     except NumericError:
         # raw holds the plane read last, where the first non-finite value is
@@ -494,9 +494,9 @@ def read_summary(path: str | Path) -> ChannelSummary:
         return _summarize_planes(*shape[1:], planes)
 
 
-def _cast_planes(planes, shape, dtype) -> Iterator[np.ndarray]:
-    """Each plane cast into one reused buffer, valid until the next step."""
+def _cast_planes(pairs, shape, dtype) -> Iterator[tuple]:
+    """Each (channels, plane) pair, the plane cast into a buffer reused each step."""
     out = np.empty(shape, dtype)
-    for plane in planes:
+    for channels, plane in pairs:
         np.copyto(out, plane)
-        yield out
+        yield channels, out

@@ -172,20 +172,20 @@ def _similarity(points: np.ndarray) -> np.ndarray:
     )
 
 
-def _count(corrs: Sequence[Correspondence]) -> tuple[int, int]:
+def _require_equations(
+    corrs: Sequence[Correspondence],
+    message: str = "need at least {required} equations, have {equations} "
+    "({points} point pairs, {lines} line constraints)",
+) -> tuple[int, int]:
+    """The point and line counts of corrs; fewer than ``MIN_EQUATIONS`` equations
+    raise message, formatted with points, lines, equations and required."""
     points = sum(1 for c in corrs if c.kind is ConstraintKind.POINT_POINT)
-    return points, len(corrs) - points
-
-
-def _require_equations(corrs: Sequence[Correspondence]) -> None:
-    """Raise unless the constraints give at least ``MIN_EQUATIONS`` equations."""
-    n_points, n_lines = _count(corrs)
-    n_equations = 2 * n_points + n_lines
-    if n_equations < MIN_EQUATIONS:
-        raise InsufficientConstraintsError(
-            f"need at least {MIN_EQUATIONS} equations, have {n_equations} "
-            f"({n_points} point pairs, {n_lines} line constraints)"
-        )
+    lines = len(corrs) - points
+    counts = {"points": points, "lines": lines, "equations": 2 * points + lines}
+    if counts["equations"] < MIN_EQUATIONS:
+        message = message.format(**counts, required=MIN_EQUATIONS)
+        raise InsufficientConstraintsError(message)
+    return points, lines
 
 
 def estimate_dlt(corrs: Sequence[Correspondence]) -> Homography:
@@ -514,15 +514,12 @@ def localize_frame(
 ) -> LocalizeResult:
     """Estimate the frame-to-base-pixels map from one frame's detections."""
     correspondences, skipped = build_correspondences(det, model, scale_px_per_m)
-    n_points, n_lines = _count(correspondences)
-    n_equations = 2 * n_points + n_lines
-    if n_equations < MIN_EQUATIONS:
-        raise InsufficientConstraintsError(
-            f"not enough detections to localize: {n_points} fixed points and "
-            f"{n_lines} floating constraints give {n_equations} equations "
-            f"({MIN_EQUATIONS} required); {len(skipped)} detections had no "
-            "base geometry"
-        )
+    n_points, n_lines = _require_equations(
+        correspondences,
+        "not enough detections to localize: {points} fixed points and {lines} "
+        "floating constraints give {equations} equations ({required} required); "
+        f"{len(skipped)} detections had no base geometry",
+    )
     if n_points == 0:
         raise DegeneracyError(
             "only floating key-points were detected; horizontal lines alone "

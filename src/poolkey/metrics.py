@@ -10,7 +10,6 @@ real point.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -27,7 +26,7 @@ from .heatmap import (
     gate,
     summarize,
 )
-from .model import CHANNEL_IDS, CLASS_ORDER, KeyPointClass, KeyPointId
+from .model import CHANNEL_IDS, CLASS_ORDER, KeyPointClass, KeyPointId, _write_json
 
 
 @dataclass(frozen=True)
@@ -251,7 +250,7 @@ def report_to_dict(report: EvalReport) -> dict:
 
 
 def write_report_json(report: EvalReport, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(report_to_dict(report), indent=2) + "\n")
+    _write_json(report_to_dict(report), path)
 
 
 def _cell(value: float | None) -> str:

@@ -403,6 +403,15 @@ def _read_json(path: str | Path) -> dict:
     return data
 
 
+def _write_json(doc, path: str | Path | None = None) -> None:
+    """Write doc as JSON indented by two, plus a newline; to stdout without a path."""
+    text = json.dumps(doc, indent=2)
+    if path is None:
+        print(text)
+    else:
+        Path(path).write_text(text + "\n")
+
+
 def model_from_dict(doc: dict) -> BasePoolModel:
     if not isinstance(doc, dict):
         raise ValidationError("model document must be an object")
@@ -448,8 +457,7 @@ def model_from_dict(doc: dict) -> BasePoolModel:
 
 
 def write_model(model: BasePoolModel, path: str | Path) -> None:
-    text = json.dumps(model_to_dict(model), indent=2) + "\n"
-    Path(path).write_text(text)
+    _write_json(model_to_dict(model), path)
 
 
 def read_model(path: str | Path) -> BasePoolModel:

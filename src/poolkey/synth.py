@@ -10,7 +10,6 @@ optional location jitter, dropout, and spurious peaks on absent channels.
 
 from __future__ import annotations
 
-import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
@@ -44,6 +43,7 @@ from .model import (
     KeyPointClass,
     LocationKind,
     _check_scale,
+    _write_json,
     base_pixel_coordinates,
 )
 
@@ -400,12 +400,8 @@ def generate_dataset(
         homography_path = f"homographies/{scene_id}.json"
         write_annotation(scene.annotation, out / annotation_path)
         write_volume(scene.plan, out / volume_path)
-        (out / homography_path).write_text(
-            json.dumps(
-                {"frame_id": scene_id, "h": scene.homography_gt.flat()}, indent=2
-            )
-            + "\n"
-        )
+        homography = {"frame_id": scene_id, "h": scene.homography_gt.flat()}
+        _write_json(homography, out / homography_path)
         return {
             "id": scene_id,
             "seed": [params.seed, index],
@@ -416,5 +412,5 @@ def generate_dataset(
 
     scenes = thread_map(build, range(count), workers)
     manifest = {"params": asdict(params), "scenes": scenes}
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    _write_json(manifest, out / "manifest.json")
     return manifest

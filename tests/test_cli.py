@@ -731,3 +731,66 @@ def test_unreadable_file_is_one_error_line(workspace, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert err.startswith("error: io: ") and "Permission denied" in err, err
+
+
+def _without_kind(doc: dict) -> str:
+    entries = list(doc["entries"])
+    first = next(i for i, entry in enumerate(entries) if entry["exists"])
+    entries[first] = {k: v for k, v in entries[first].items() if k != "kind"}
+    return json.dumps({**doc, "entries": entries})
+
+
+@pytest.mark.parametrize(
+    "edit, expected",
+    [
+        (lambda doc: json.dumps({**doc, "entries": [5, *doc["entries"]]}),
+         "each entry must be an object"),
+        (lambda doc: json.dumps({**doc, "entries": doc["entries"] * 2}),
+         "duplicate entry for"),
+        (_without_kind, "bad location for"),
+        (lambda doc: _entry_with(doc, kind="moon"), "'moon' is not a valid"),
+        (lambda doc: _config_with(doc, lane_width_m=0), "lane_width_m must be positive"),
+        (lambda doc: _config_with(doc, bulkhead_x_m=25.0), "without a bulkhead"),
+    ],
+    ids=["entry-int", "duplicate", "kind-missing", "kind-unknown", "width-zero",
+         "bulkhead-x-without-bulkhead"],
+)
+def test_invalid_model_entries_and_sizes_exit_4(
+    workspace, tmp_path, capsys, edit, expected
+):
+    bad = tmp_path / "bad_model.json"
+    bad.write_text(edit(json.loads((workspace / "model.json").read_text())))
+    assert main(["synth", "--model", str(bad), "--out", str(tmp_path / "out")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: validation: ") and err.count("\n") == 1, err
+    assert expected in err, err
+
+
+def test_negative_pool_threads_exits_4(workspace, capsys, monkeypatch):
+    monkeypatch.setenv("POOL_THREADS", "-1")
+    data = workspace / "data"
+    pairs = ["--pred-dir", str(data / "volumes"), "--gt-dir", str(data / "annotations")]
+    assert main(["eval", *pairs]) == 4
+    assert capsys.readouterr().err == (
+        "error: validation: POOL_THREADS must be non-negative\n"
+    )
+
+
+def test_eval_rejects_an_annotation_without_a_volume(workspace, tmp_path, capsys):
+    annotations = tmp_path / "annotations"
+    shutil.copytree(workspace / "data" / "annotations", annotations)
+    write_annotation(FrameAnnotation("extra", 72, 128), annotations / "extra.json")
+    volumes = str(workspace / "data" / "volumes")
+    assert main(["eval", "--pred-dir", volumes, "--gt-dir", str(annotations)]) == 4
+    assert capsys.readouterr().err == (
+        "error: validation: no volume for annotation stem(s): extra\n"
+    )
+
+
+def test_a_volume_header_with_zero_channels_exits_5(tmp_path, capsys):
+    path = tmp_path / "empty.pkhv"
+    path.write_bytes(b"PKHV" + b"".join(v.to_bytes(4, "little") for v in (1, 2, 2, 0)))
+    assert main(["decode", "--volume", str(path)]) == 5
+    assert capsys.readouterr().err == (
+        "error: format: channels must be positive (byte offset 16)\n"
+    )

@@ -3,6 +3,7 @@
 import logging
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -494,3 +495,76 @@ def test_channel_order_matches_canonical_index():
     for pt in ann.points:
         channel = vol.channel(canonical_channel_index(pt.kp))
         assert channel[nearest_cell(pt.v, 8), nearest_cell(pt.u, 8)] == 1.0
+
+
+def test_target_volume_on_an_empty_grid_is_a_shape_error():
+    with pytest.raises(ShapeError):
+        make_target_volume(FrameAnnotation("f", 4, 4), 0, 5)
+
+
+@pytest.mark.parametrize(
+    "plan, error",
+    [
+        (PeakPlan(0, 3, {}), ShapeError),
+        (PeakPlan(3, 0, {}), ShapeError),
+        (PeakPlan(-1, 3, {}), ShapeError),
+        (PeakPlan(4, 5, {200: (0, 0, 1.0)}), ValidationError),
+        (PeakPlan(4, 5, {96: (0, 0, 1.0)}), ValidationError),
+        (PeakPlan(4, 5, {-1: (0, 0, 1.0)}), ValidationError),
+        (PeakPlan(4, 5, {3: (-1, 0, 1.0)}), OutOfBoundsError),
+        (PeakPlan(4, 5, {3: (0, -1, 1.0)}), OutOfBoundsError),
+        (PeakPlan(4, 5, {3: (4, 0, 1.0)}), OutOfBoundsError),
+        (PeakPlan(4, 5, {3: (0, 5, 1.0)}), OutOfBoundsError),
+    ],
+    ids=["no-rows", "no-cols", "negative-rows", "channel-200", "channel-96",
+         "channel-negative", "row-negative", "col-negative", "row-past-end",
+         "col-past-end"],
+)
+def test_a_plan_outside_its_grid_or_channels_is_refused_before_any_fill(
+    tmp_path, plan, error
+):
+    with pytest.raises(error) as called:
+        plan.planes()  # raised at the call, before the first plane is built
+    assert called.type is error
+    with pytest.raises(error) as built:
+        plan.volume()
+    assert built.type is error
+    path = tmp_path / "v.pkhv"
+    with pytest.raises(error, match=f"^{re.escape(str(built.value))}$") as written:
+        write_volume(plan, path)
+    assert written.type is error
+    assert not path.exists()
+
+
+def _three_temporary_softmax(logits: np.ndarray) -> np.ndarray:
+    """The softmax formula with a shifted copy, an exp copy and a quotient."""
+    shifted = logits - logits.max(axis=(1, 2), keepdims=True)
+    exp = np.exp(shifted)
+    return exp / exp.sum(axis=(1, 2), keepdims=True)
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [(1, 1, 1), (3, 7, 11), (5, 37, 53), (96, 36, 64), (96, 72, 128), (2, 1, 9)],
+)
+def test_softmax_is_bit_equal_to_the_three_temporary_formula(shape):
+    rng = np.random.default_rng(sum(shape))
+    for scale in (1.0, 40.0, 700.0):  # the wider logits underflow most cells
+        logits = rng.normal(0, scale, size=shape)
+        got = softmax_normalize(logits).data
+        # the same bits: float.hex equality, cell by cell
+        assert np.array_equal(
+            got.view(np.uint64), _three_temporary_softmax(logits).view(np.uint64)
+        )
+
+
+def test_softmax_holds_one_work_array_besides_its_volume():
+    logits = np.random.default_rng(5).normal(0, 3, size=(96, 72, 128))
+    tracemalloc.start()
+    try:
+        softmax_normalize(logits)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the shifted work array and the volume: the three-temporary formula held four
+    assert peak < 2.2 * logits.nbytes, peak / logits.nbytes

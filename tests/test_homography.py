@@ -596,3 +596,35 @@ def test_localize_result_serialization():
 def test_correspondence_rejects_non_finite_numbers(make):
     with pytest.raises(NumericError, match="non-finite"):
         make()
+
+
+def test_too_few_equations_keep_their_messages():
+    rng = np.random.default_rng(3)
+    truth = _random_h(rng)
+    corrs = [
+        Correspondence.point(tuple(p), _apply(truth, p))
+        for p in rng.uniform(0, 200, size=(3, 2))
+    ]
+    corrs.append(Correspondence.on_line((5.0, 5.0), 10.0))
+    expected = "^need at least 8 equations, have 7 \\(3 point pairs, 1 line constraints\\)$"
+    with pytest.raises(InsufficientConstraintsError, match=expected):
+        estimate_dlt(corrs)
+    with pytest.raises(InsufficientConstraintsError, match=expected):
+        fit_ransac(corrs, RansacParams())
+    model = build_base_model(PoolConfig(lanes=8, length_m=50))
+    det = DetectionSet(
+        "f",
+        100,
+        100,
+        (
+            Detection(KeyPointId(KeyPointClass.WALL_LEFT, 0), 1.0, 1.0, 0.0),
+            Detection(KeyPointId(KeyPointClass.WALL_LEFT, 2), 1.0, 9.0, 0.0),
+            Detection(KeyPointId(KeyPointClass.FLOATING_LEFT, 3), 0.0, 30.0, 0.0),
+        ),
+    )
+    with pytest.raises(InsufficientConstraintsError) as raised:
+        localize_frame(det, model)
+    assert str(raised.value) == (
+        "not enough detections to localize: 2 fixed points and 1 floating "
+        "constraints give 5 equations (8 required); 0 detections had no base geometry"
+    )
