@@ -6,7 +6,7 @@ contribute a single equation tying the projected y to the rope ordinate.
 Estimation is direct linear transform on Hartley-normalized coordinates;
 RANSAC wraps it for outlier rejection.
 
-RANSAC runs a fixed budget of draws. Each draw is one
+RANSAC draws up to ``iterations`` times. Each draw is one
 ``rng.permutation(n)``, taken in seed order, and its minimal sample is the
 shortest prefix reaching eight equations. Draws are handled in blocks of
 ``RANSAC_BLOCK``: the samples are normalized and packed as ``estimate_dlt``
@@ -18,7 +18,11 @@ smaller inlier residual sum, then the earlier draw, within a block and
 across blocks. Only the winning consensus mask leaves the kernel: it is
 re-fit with the scalar ``estimate_dlt``, whose arithmetic fixes the
 output bytes, and the batched fits therefore never need to match the
-scalar ones bit for bit.
+scalar ones bit for bit. The run stops after the block of the first draw
+whose consensus is every correspondence, which a later draw can only tie
+with the same mask; a non-finite hypothesis in a later block then raises no
+``NumericError``. The kernel works row by row, so no output depends on
+``RANSAC_BLOCK``.
 """
 
 from __future__ import annotations
@@ -45,9 +49,9 @@ from .model import BasePoolModel, KeyPointId, LocationKind, base_pixel_coordinat
 MIN_EQUATIONS = 8
 _RANK_TOLERANCE = 1e-8
 _W_EPSILON = 1e-12
-# RANSAC fits and scores this many draws per batched call. Larger blocks
-# save little time and cost memory that grows with the block.
-RANSAC_BLOCK = 64
+# RANSAC fits and scores this many draws per batched call. No output depends
+# on it; a larger block saves per-call overhead and costs memory.
+RANSAC_BLOCK = 256
 
 
 class Homography:
@@ -267,10 +271,10 @@ class RansacFit:
     """A RANSAC estimate with the statistics of the run that produced it.
 
     ``residuals`` are those of the re-fit map over every correspondence, so
-    callers need not compute them again. ``degenerate_draws`` counts the
-    minimal samples dropped by the rank or the determinant test, and
-    ``consensus_size`` is the inlier count of the winning hypothesis
-    before the re-fit.
+    callers need not compute them again. ``draws`` counts the draws up to the
+    stop (see the module docstring) and ``degenerate_draws`` those of them
+    dropped by the rank or the determinant test; ``consensus_size`` is the
+    inlier count of the winning hypothesis before the re-fit.
     """
 
     homography: Homography
@@ -393,16 +397,8 @@ def _score_block(
 
 
 def fit_ransac(corrs: Sequence[Correspondence], params: RansacParams) -> RansacFit:
-    """Robust estimate, its inlier mask, final residuals and run statistics.
-
-    Each iteration draws ``rng.permutation(n)`` and takes the shortest
-    prefix reaching eight equations as its minimal sample. Draws are fitted
-    and scored in blocks of ``RANSAC_BLOCK``: one batched SVD fits the
-    block's samples exactly, and one (block, n) residual array scores them
-    by consensus size, with the smaller total inlier residual breaking a
-    tie and the earlier draw winning an exact tie. The winning consensus
-    is re-fit with the full least-squares ``estimate_dlt``.
-    """
+    """Robust estimate, its inlier mask, final residuals and run statistics,
+    drawn, scored and stopped as the module docstring says."""
     corrs = tuple(corrs)
     _require_equations(corrs)
     equations = np.array([c.equations for c in corrs])
@@ -421,11 +417,13 @@ def fit_ransac(corrs: Sequence[Correspondence], params: RansacParams) -> RansacF
         sample = rng.permuted(order, axis=1)[:, :width]
         size = (np.cumsum(equations[sample], axis=1) < MIN_EQUATIONS).sum(axis=1) + 1
         h, degenerate_fit = _fit_block(sample, size, image, base, equations)
-        degenerate += int(degenerate_fit.sum())
         r = _score_block(h, image, base, is_point)
         mask = r <= params.inlier_threshold_px
         inliers = mask.sum(axis=1)
         usable = ~degenerate_fit & (mask @ equations >= MIN_EQUATIONS)
+        full = np.flatnonzero(usable & (inliers == len(corrs)))
+        made = int(full[0]) + 1 if full.size else draws
+        degenerate += int(degenerate_fit[:made].sum())
         if not usable.any():
             continue
         top = usable & (inliers == inliers[usable].max())
@@ -436,6 +434,8 @@ def fit_ransac(corrs: Sequence[Correspondence], params: RansacParams) -> RansacF
         if best_key is None or key > best_key:
             best_key = key
             best_mask = mask[winner].copy()
+        if full.size:
+            break
     if best_mask is None:
         raise NoModelError(
             f"no sample produced a usable consensus in {params.iterations} iterations"
@@ -449,7 +449,7 @@ def fit_ransac(corrs: Sequence[Correspondence], params: RansacParams) -> RansacF
         homography=final,
         inlier_mask=final_residuals <= params.inlier_threshold_px,
         residuals=final_residuals,
-        draws=params.iterations,
+        draws=start + made,
         degenerate_draws=degenerate,
         consensus_size=best_key[0],
     )

@@ -29,6 +29,7 @@ from poolkey import (
     project,
     residuals,
 )
+from poolkey import homography
 from poolkey.homography import (
     MIN_EQUATIONS,
     RANSAC_BLOCK,
@@ -280,15 +281,17 @@ def test_ransac_line_only_constraints_cannot_form_a_model():
 
 def _reference_ransac(corrs, params):
     """The per-draw RANSAC loop that the block kernel replaced: one
-    ``estimate_dlt`` and one ``residuals`` call per draw. Returns the
-    estimate, its inlier mask, the degenerate draws and the consensus size."""
+    ``estimate_dlt`` and one ``residuals`` call per draw, stopping at the
+    first draw whose consensus is every correspondence. Returns the estimate,
+    its inlier mask, the draws made, the degenerate draws and the consensus
+    size."""
     corrs = tuple(corrs)
     equations = np.array([c.equations for c in corrs])
     rng = np.random.default_rng(params.seed)
     best_key = None
     best_mask = None
     degenerate = 0
-    for _ in range(params.iterations):
+    for draws in range(1, params.iterations + 1):
         order = rng.permutation(len(corrs))
         cumulative = np.cumsum(equations[order])
         sample = order[: int(np.searchsorted(cumulative, MIN_EQUATIONS) + 1)]
@@ -305,11 +308,16 @@ def _reference_ransac(corrs, params):
         if best_key is None or key > best_key:
             best_key = key
             best_mask = mask
+        if mask.all():
+            break
     if best_mask is None:
         raise NoModelError("no usable consensus")
-    final = estimate_dlt([c for c, keep in zip(corrs, best_mask) if keep])
+    try:
+        final = estimate_dlt([c for c, keep in zip(corrs, best_mask) if keep])
+    except (DegeneracyError, InsufficientConstraintsError) as exc:
+        raise NoModelError("consensus set could not be re-estimated") from exc
     mask = residuals(final, corrs) <= params.inlier_threshold_px
-    return final, mask, degenerate, best_key[0]
+    return final, mask, draws, degenerate, best_key[0]
 
 
 def _mixed_set(seed: int, outlier_share: float, line_share: float, n=None):
@@ -334,7 +342,9 @@ def _mixed_set(seed: int, outlier_share: float, line_share: float, n=None):
     return corrs
 
 
-_ITERATIONS = (1, RANSAC_BLOCK - 1, RANSAC_BLOCK, RANSAC_BLOCK + 1, 1000)
+# around a block of 64; test_ransac_block_size_does_not_change_the_fit
+# carries these results over to every other block size
+_ITERATIONS = (1, 63, 64, 65, 1000)
 
 
 @pytest.mark.parametrize("line_share", [0.0, 0.4], ids=["points", "points-lines"])
@@ -353,14 +363,13 @@ def test_block_ransac_matches_the_per_draw_loop(iterations, outlier_share, line_
         fit = fit_ransac(corrs, params)
         assert np.array_equal(fit.homography.matrix, expected[0].matrix)
         assert np.array_equal(fit.inlier_mask, expected[1])
-        assert (fit.degenerate_draws, fit.consensus_size) == expected[2:]
-        assert fit.draws == iterations
+        assert (fit.draws, fit.degenerate_draws, fit.consensus_size) == expected[2:]
         h, mask = estimate_ransac(corrs, params)
         assert np.array_equal(h.matrix, expected[0].matrix)
         assert np.array_equal(mask, expected[1])
 
 
-@pytest.mark.parametrize("draws", [1, 17, RANSAC_BLOCK])
+@pytest.mark.parametrize("draws", [1, 17, 64, RANSAC_BLOCK])
 @pytest.mark.parametrize("n", [9, 12, 23, 40, 57])
 def test_one_permuted_block_draws_one_permutation_per_row(n, draws):
     # fit_ransac draws a block this way; a numpy release that changes the
@@ -417,6 +426,34 @@ def test_block_ransac_matches_the_per_draw_loop_on_degenerate_sets(iterations):
             _reference_ransac(corrs, params)
         with pytest.raises(NoModelError):
             fit_ransac(corrs, params)
+
+
+def _fit_bits(corrs, params):
+    """Every ``RansacFit`` field as exact bytes or ints, or the error raised."""
+    try:
+        fit = fit_ransac(corrs, params)
+    except NoModelError as exc:
+        return str(exc)
+    arrays = (fit.homography.matrix, fit.inlier_mask, fit.residuals)
+    counts = (fit.draws, fit.degenerate_draws, fit.consensus_size)
+    return tuple(a.tobytes() for a in arrays) + counts
+
+
+@pytest.mark.parametrize("line_share", [0.0, 0.4], ids=["points", "points-lines"])
+@pytest.mark.parametrize("outlier_share", [0.0, 0.15, 0.3])
+def test_ransac_block_size_does_not_change_the_fit(
+    monkeypatch, outlier_share, line_share
+):
+    # every step of the block kernel works per hypothesis row, so the block
+    # size decides how many draws share one batched call and nothing else
+    for seed in range(3):
+        corrs = _mixed_set(seed, outlier_share, line_share)
+        params = RansacParams(iterations=600, seed=seed)
+        fits = []
+        for block in (1, 7, 64, 256, 1000):
+            monkeypatch.setattr(homography, "RANSAC_BLOCK", block)
+            fits.append(_fit_bits(corrs, params))
+        assert all(fit == fits[0] for fit in fits[1:])
 
 
 def test_ransac_memory_does_not_grow_with_the_iteration_count():
@@ -521,11 +558,15 @@ def test_localize_reports_ransac_statistics_on_a_degenerate_set():
     params = RansacParams(iterations=300, seed=4)
     result = localize_frame(det, model, params=params)
 
+    # the first full-rank draw sees all five points and ends the run
     rng = np.random.default_rng(params.seed)
-    expected = sum(rng.permutation(5)[-1] >= 3 for _ in range(params.iterations))
-    assert 0 < expected < params.iterations
-    assert result.draws == params.iterations
-    assert result.degenerate_draws == expected
+    left_out = [rng.permutation(5)[-1] for _ in range(params.iterations)]
+    draws = next(i for i, k in enumerate(left_out) if k < 3) + 1
+    assert draws > 1
+    corrs, _ = build_correspondences(det, model, 20.0)
+    assert _reference_ransac(corrs, params)[2:] == (draws, draws - 1, 5)
+    assert result.draws == draws
+    assert result.degenerate_draws == draws - 1
     assert result.consensus_size == 5
     assert result.inlier_mask.all()
     assert result.mean_residual_px < 1e-9
@@ -537,8 +578,8 @@ def test_localize_reports_ransac_statistics_on_a_clean_set():
     det = perfect_detections(scene.annotation)
     result = localize_frame(det, model)
     corrs, _ = build_correspondences(det, model, 20.0)
-    _, _, degenerate, consensus = _reference_ransac(corrs, RansacParams())
-    assert result.draws == RansacParams().iterations
+    _, _, draws, degenerate, consensus = _reference_ransac(corrs, RansacParams())
+    assert result.draws == draws < RansacParams().iterations
     assert result.degenerate_draws == degenerate
     assert result.consensus_size == consensus == len(corrs)
     doc = localize_result_to_dict(result, "f")
