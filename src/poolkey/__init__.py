@@ -37,7 +37,6 @@ from .heatmap import (
     write_volume,
 )
 from .homography import (
-    ConstraintKind,
     Correspondence,
     Homography,
     LocalizeResult,

@@ -44,6 +44,7 @@ from .heatmap import (
 from .homography import RansacParams, localize_frame, localize_result_to_dict
 from .metrics import (
     EvalParams,
+    _gate_pairs,
     beta_sweep,
     evaluate,
     report_to_dict,
@@ -207,10 +208,7 @@ def _cmd_loss(args) -> int:
 def _cmd_eval(args) -> int:
     decode_params = DecodeParams(args.beta)
     eval_params = EvalParams(tolerance_px=args.tolerance)
-    frames = [
-        (gate(summary, decode_params, ann.frame_id), ann)
-        for summary, ann in _load_pairs(args.pred_dir, args.gt_dir)
-    ]
+    frames = _gate_pairs(_load_pairs(args.pred_dir, args.gt_dir), decode_params)
     report = evaluate(frames, eval_params)
     if args.out is None:
         _write_json(report_to_dict(report))

@@ -1,8 +1,10 @@
 """Frame-to-base homography estimation from mixed constraints.
 
-Fixed key-points contribute full point correspondences (two equations).
-Floating key-points only know which lane-rope they sit on, so they
-contribute a single equation tying the projected y to the rope ordinate.
+A correspondence ties an image point to a base point or to a base
+ordinate, and which one it holds is its kind. Fixed key-points give base
+points (two equations). Floating key-points only know which lane-rope they
+sit on, so they give the rope's ordinate: one equation tying the projected
+y to it.
 Estimation is direct linear transform on Hartley-normalized coordinates;
 RANSAC wraps it for outlier rejection.
 
@@ -27,7 +29,6 @@ with the same mask; a non-finite hypothesis in a later block then raises no
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -103,29 +104,20 @@ def project(h: Homography, point: Sequence[float]) -> tuple[float, float]:
     return (x, y)
 
 
-class ConstraintKind(enum.Enum):
-    POINT_POINT = "point_point"
-    POINT_ON_HORIZONTAL_LINE = "point_on_horizontal_line"
-
-
 @dataclass(frozen=True)
 class Correspondence:
-    """One image observation tied to base geometry."""
+    """One image observation tied to base geometry: a base point (two
+    equations) or, for a point on a horizontal line, a base ordinate (one)."""
 
-    kind: ConstraintKind
     image: tuple[float, float]
     base_point: tuple[float, float] | None = None
     base_y: float | None = None
-    kp: KeyPointId | None = None
 
     def __post_init__(self):
-        if self.kind is ConstraintKind.POINT_POINT and self.base_point is None:
-            raise ValidationError("point correspondence requires base_point")
-        if (
-            self.kind is ConstraintKind.POINT_ON_HORIZONTAL_LINE
-            and self.base_y is None
-        ):
-            raise ValidationError("line correspondence requires base_y")
+        if (self.base_point is None) == (self.base_y is None):
+            raise ValidationError(
+                "correspondence requires exactly one of base_point and base_y"
+            )
         numbers = (*self.image, *(self.base_point or ()), self.base_y or 0.0)
         if not all(math.isfinite(x) for x in numbers):
             raise NumericError(
@@ -135,31 +127,17 @@ class Correspondence:
 
     @property
     def equations(self) -> int:
-        return 2 if self.kind is ConstraintKind.POINT_POINT else 1
+        return 2 if self.base_point is not None else 1
 
     @classmethod
     def point(
-        cls,
-        image: tuple[float, float],
-        base: tuple[float, float],
-        kp: KeyPointId | None = None,
+        cls, image: tuple[float, float], base: tuple[float, float]
     ) -> Correspondence:
-        return cls(ConstraintKind.POINT_POINT, tuple(image), tuple(base), None, kp)
+        return cls(tuple(image), base_point=tuple(base))
 
     @classmethod
-    def on_line(
-        cls,
-        image: tuple[float, float],
-        base_y: float,
-        kp: KeyPointId | None = None,
-    ) -> Correspondence:
-        return cls(
-            ConstraintKind.POINT_ON_HORIZONTAL_LINE,
-            tuple(image),
-            None,
-            float(base_y),
-            kp,
-        )
+    def on_line(cls, image: tuple[float, float], base_y: float) -> Correspondence:
+        return cls(tuple(image), base_y=float(base_y))
 
 
 def _similarity(points: np.ndarray) -> np.ndarray:
@@ -183,7 +161,7 @@ def _require_equations(
 ) -> tuple[int, int]:
     """The point and line counts of corrs; fewer than ``MIN_EQUATIONS`` equations
     raise message, formatted with points, lines, equations and required."""
-    points = sum(1 for c in corrs if c.kind is ConstraintKind.POINT_POINT)
+    points = sum(1 for c in corrs if c.base_point is not None)
     lines = len(corrs) - points
     counts = {"points": points, "lines": lines, "equations": 2 * points + lines}
     if counts["equations"] < MIN_EQUATIONS:
@@ -203,9 +181,7 @@ def estimate_dlt(corrs: Sequence[Correspondence]) -> Homography:
     _require_equations(corrs)
     image = np.array([c.image for c in corrs])
     t_image = _similarity(image)
-    fixed = np.array(
-        [c.base_point for c in corrs if c.kind is ConstraintKind.POINT_POINT]
-    )
+    fixed = np.array([c.base_point for c in corrs if c.base_point is not None])
     t_base = _similarity(fixed) if len(fixed) else np.eye(3)
     base_scale = t_base[0, 0]
     base_ty = t_base[1, 2]
@@ -213,7 +189,7 @@ def estimate_dlt(corrs: Sequence[Correspondence]) -> Homography:
     rows = []
     normalized = image @ t_image[:2, :2].T + t_image[:2, 2]
     for c, (u, v) in zip(corrs, normalized):
-        if c.kind is ConstraintKind.POINT_POINT:
+        if c.base_point is not None:
             x = base_scale * c.base_point[0] + t_base[0, 2]
             y = base_scale * c.base_point[1] + base_ty
             rows.append([u, v, 1.0, 0.0, 0.0, 0.0, -x * u, -x * v, -x])
@@ -243,7 +219,7 @@ def residuals(h: Homography, corrs: Sequence[Correspondence]) -> np.ndarray:
             out[i] = np.inf
             continue
         y = (m[1, 0] * u + m[1, 1] * v + m[1, 2]) / w
-        if c.kind is ConstraintKind.POINT_POINT:
+        if c.base_point is not None:
             x = (m[0, 0] * u + m[0, 1] * v + m[0, 2]) / w
             out[i] = math.hypot(x - c.base_point[0], y - c.base_point[1])
         else:
@@ -482,12 +458,10 @@ def build_correspondences(
             skipped.append(d.kp)
         elif location.kind is LocationKind.FIXED_POINT:
             correspondences.append(
-                Correspondence.point((d.u, d.v), (location.x_px, location.y_px), d.kp)
+                Correspondence.point((d.u, d.v), (location.x_px, location.y_px))
             )
         else:
-            correspondences.append(
-                Correspondence.on_line((d.u, d.v), location.y_px, d.kp)
-            )
+            correspondences.append(Correspondence.on_line((d.u, d.v), location.y_px))
     return correspondences, skipped
 
 

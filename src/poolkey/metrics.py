@@ -5,6 +5,11 @@ and one ground-truth point per key-point identity. A detection further than
 the tolerance from its ground truth is counted as both a false positive and
 a false negative: the detector fired somewhere wrong and still missed the
 real point.
+
+Every frame is gated under its annotation's frame id and matched in one
+pass, which checks the pairing and sorts by frame id. ``evaluate`` builds
+its report from those matches; the sweeps run the same pass at each grid
+point and keep only its mean F1.
 """
 
 from __future__ import annotations
@@ -140,6 +145,30 @@ def _scope(counts: MatchCounts) -> ScopeScore:
     return ScopeScore(precision(counts), recall(counts), f1(counts), total)
 
 
+def _matches(
+    frames: Iterable[tuple[DetectionSet, FrameAnnotation]], params: EvalParams
+) -> list[FrameMatch]:
+    """Each pair's match, sorted by frame id; the one pass that every score
+    comes from. Pairs must share their frame id, and no id may repeat."""
+    seen_ids = set()
+    matches = []
+    for det, gt in frames:
+        if det.frame_id != gt.frame_id:
+            raise ValidationError(
+                f"paired frame ids differ: {det.frame_id!r} vs {gt.frame_id!r}"
+            )
+        if gt.frame_id in seen_ids:
+            raise ValidationError(f"duplicate frame id {gt.frame_id!r}")
+        seen_ids.add(gt.frame_id)
+        matches.append(match_frame(det, gt, params))
+    matches.sort(key=lambda match: match.frame_id)
+    return matches
+
+
+def _mean_f1(matches: Sequence[FrameMatch]) -> float:
+    return fmean(f1(m.counts) for m in matches) if matches else 0.0
+
+
 def evaluate(
     frames: Iterable[tuple[DetectionSet, FrameAnnotation]], params: EvalParams
 ) -> EvalReport:
@@ -149,42 +178,37 @@ def evaluate(
     scores micro-aggregate raw counts across frames before computing the
     ratios.
     """
-    seen_ids = set()
-    frame_scores = []
+    matches = _matches(frames, params)
     per_id = {kp: MatchCounts() for kp in CHANNEL_IDS}
-    for det, gt in frames:
-        if det.frame_id != gt.frame_id:
-            raise ValidationError(
-                f"paired frame ids differ: {det.frame_id!r} vs {gt.frame_id!r}"
-            )
-        if gt.frame_id in seen_ids:
-            raise ValidationError(f"duplicate frame id {gt.frame_id!r}")
-        seen_ids.add(gt.frame_id)
-        match = match_frame(det, gt, params)
-        frame_scores.append(
-            FrameScore(
-                gt.frame_id,
-                precision(match.counts),
-                recall(match.counts),
-                f1(match.counts),
-            )
-        )
+    for match in matches:
         for kp, counts in match.per_channel.items():
             per_id[kp] = per_id[kp] + counts
-    frame_scores.sort(key=lambda score: score.frame_id)
     per_class_counts = {cls: MatchCounts() for cls in CLASS_ORDER}
     for kp, counts in per_id.items():
         per_class_counts[kp.cls] = per_class_counts[kp.cls] + counts
     return EvalReport(
-        per_frame=tuple(frame_scores),
+        per_frame=tuple(
+            FrameScore(m.frame_id, precision(m.counts), recall(m.counts), f1(m.counts))
+            for m in matches
+        ),
         per_class={cls: _scope(c) for cls, c in per_class_counts.items()},
         per_keypoint={kp: _scope(c) for kp, c in per_id.items()},
-        mean_f1=fmean(s.f1 for s in frame_scores) if frame_scores else 0.0,
+        mean_f1=_mean_f1(matches),
     )
 
 
 def _summarized(frame: HeatmapVolume | ChannelSummary) -> ChannelSummary:
     return frame if isinstance(frame, ChannelSummary) else summarize(frame)
+
+
+def _gate_pairs(
+    frames: Iterable[tuple[HeatmapVolume | ChannelSummary, FrameAnnotation]],
+    params: DecodeParams,
+) -> list[tuple[DetectionSet, FrameAnnotation]]:
+    """Each frame gated under its annotation's frame id, paired with it."""
+    return [
+        (gate(_summarized(frame), params, ann.frame_id), ann) for frame, ann in frames
+    ]
 
 
 def beta_sweep(
@@ -204,10 +228,8 @@ def beta_sweep(
     summaries = [(_summarized(frame), ann) for frame, ann in volumes_gt]
     curve = []
     for beta in betas:
-        params = DecodeParams(beta)
-        pairs = [(gate(s, params, ann.frame_id), ann) for s, ann in summaries]
-        report = evaluate(pairs, eval_params)
-        curve.append((float(beta), report.mean_f1))
+        pairs = _gate_pairs(summaries, DecodeParams(beta))
+        curve.append((float(beta), _mean_f1(_matches(pairs, eval_params))))
     return curve
 
 
@@ -225,16 +247,11 @@ def tolerance_sweep(
     for tolerance in tolerances_px:
         if not tolerance > 0:
             raise ValidationError(f"tolerance grid value {tolerance} must be positive")
-    params = DecodeParams(beta)
-    pairs = [
-        (gate(_summarized(frame), params, ann.frame_id), ann)
-        for frame, ann in volumes_gt
+    pairs = _gate_pairs(volumes_gt, DecodeParams(beta))
+    return [
+        (float(t), _mean_f1(_matches(pairs, EvalParams(tolerance_px=t))))
+        for t in tolerances_px
     ]
-    curve = []
-    for tolerance in tolerances_px:
-        report = evaluate(pairs, EvalParams(tolerance_px=tolerance))
-        curve.append((float(tolerance), report.mean_f1))
-    return curve
 
 
 def report_to_dict(report: EvalReport) -> dict:

@@ -74,7 +74,7 @@ class KeyPointId:
     @classmethod
     def from_label(cls, label: str) -> KeyPointId:
         stem, sep, tail = label.rpartition("_")
-        if sep and tail.isdigit():
+        if sep and tail.isascii() and tail.isdigit():
             for kp_cls in CLASS_ORDER:
                 if kp_cls.value == stem:
                     try:

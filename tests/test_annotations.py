@@ -199,6 +199,20 @@ def test_parse_cvat_validation_errors():
         parse_cvat(f'{head}<points label="wall_left_1" points="1,abc"/>{tail}')
 
 
+@pytest.mark.parametrize(
+    "label", ["wall_left_\u00b2", "wall_left_\u0663", "wall_left_\uff13"],
+    ids=["superscript-two", "arabic-indic-three", "fullwidth-three"],
+)
+def test_parse_cvat_reads_ascii_digit_indices_only(label):
+    # str.isdigit() holds for each of these tails; the index must be ASCII
+    doc = (
+        '<annotations><image id="0" name="x" width="10" height="10">'
+        f'<points label="{label}" points="1,2"/></image></annotations>'
+    )
+    with pytest.raises(ValidationError, match="unknown key-point label"):
+        parse_cvat(doc)
+
+
 def test_cvat_serialize_parse_identity():
     rng = np.random.default_rng(55)
     frames = []

@@ -487,6 +487,22 @@ def test_import_cvat_duplicate_stems(tmp_path, capsys):
     assert "same file stem" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "label", ["wall_left_\u00b2", "wall_left_\u0663"],
+    ids=["superscript-two", "arabic-indic-three"],
+)
+def test_import_cvat_rejects_non_ascii_digit_labels(tmp_path, capsys, label):
+    xml = tmp_path / "task.xml"
+    xml.write_text(CVAT_DOC.replace("wall_left_0", label), encoding="utf-8")
+    out_dir = tmp_path / "o"
+    code = main(["import-cvat", "--xml", str(xml), "--out-dir", str(out_dir)])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.err.startswith("error: validation: unknown key-point label")
+    assert captured.err.count("\n") == 1
+    assert not out_dir.exists()
+
+
 def test_pool_threads_env(workspace, capsys, monkeypatch):
     args = [
         "eval",

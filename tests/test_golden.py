@@ -2,7 +2,9 @@
 
 One in-process run at 72x128: `model`, four noisy synth trees (seeds 0-1,
 full and partial views), then `decode`, `localize`, `eval` and `loss`, and a
-beta sweep over the seed-0 full-view tree. Each output, stdout or file, must
+beta and a tolerance sweep over the seed-0 full-view tree. A second `decode`
+and `localize` take a seed-0 partial-view frame, whose lane-rope detections
+give line constraints. Each output, stdout or file, must
 hash to the SHA-256 digest pinned below. Like perfbench/digests.json, the
 digests depend on the numpy version (they were taken with numpy 2.4.6): a
 numpy upgrade may change float results in their last digits, and so these
@@ -56,7 +58,11 @@ GOLDEN = {
     "eval --out stdout": "d47b3f13812a9feb8e0fc4848406f8c7668046cf67913a91162b19b84882915e",
     "eval --out": "50422dcdd92ee9ddce0b7e34b3adddb25e149e723bf4e320607de137bd0d8aa4",
     "eval --per-class": "18b1b614207ef5326900c7c89d87bab746051959c38e7b585282a4ac864e2130",
+    "eval --per-keypoint": "18b1b614207ef5326900c7c89d87bab746051959c38e7b585282a4ac864e2130",
     "sweep beta csv": "8b4711356f91b716a1fe5abe3362d81c4d45dbf48f52cfa322f7d06f8c931e5a",
+    "sweep tolerance csv": "481215ab981bbeda4570bdfa684ad94654f51a3e87df1f13b9480d5f0925df8a",
+    "decode partial --out": "7d8dc1eeb9b534f591683d1a4f857a3b01ff4295b800029c7f381620608e03d0",
+    "localize partial --out": "4127d57fa08c7bd8309f73fbafdadf095666d09cd901127839b0a9a668f242e4",
     "loss stdout": "abc43df7cf6b2d128767c8443cce5645bda27f36e7c656c80f9992fe5dda9ac6",
 }
 
@@ -107,10 +113,22 @@ def _pipeline_outputs(root, capsys) -> dict[str, bytes]:
     )
     outputs["eval --out"] = report.read_bytes()
     outputs["eval --per-class"] = per_class.read_bytes()
+    per_keypoint = root / "per_keypoint.csv"
+    _run(capsys, "eval", *pairs, "--out", str(report),
+         "--per-keypoint", str(per_keypoint))
+    outputs["eval --per-keypoint"] = per_keypoint.read_bytes()
     sweep = root / "sweep.csv"
     _run(capsys, "sweep", "--mode", "beta", "--grid", "0:1:0.1", *pairs,
          "--out", str(sweep))
     outputs["sweep beta csv"] = sweep.read_bytes()
+    _run(capsys, "sweep", "--mode", "tolerance", "--grid", "1:10:1.5", *pairs,
+         "--out", str(sweep))
+    outputs["sweep tolerance csv"] = sweep.read_bytes()
+    partial = root / "synth-0-partial" / "volumes" / "scene_0000.pkhv"
+    _run(capsys, "decode", "--volume", str(partial), "--out", str(detections))
+    outputs["decode partial --out"] = detections.read_bytes()
+    _run(capsys, *localize, "--out", str(located))
+    outputs["localize partial --out"] = located.read_bytes()
     outputs["loss stdout"] = _run(
         capsys, "loss", "--pred", volume,
         "--target", str(volumes / "scene_0001.pkhv"),

@@ -639,6 +639,24 @@ def test_correspondence_rejects_non_finite_numbers(make):
         make()
 
 
+@pytest.mark.parametrize(
+    "fields, equations",
+    [
+        ({"base_point": (3.0, 4.0)}, 2),
+        ({"base_y": 4.0}, 1),
+        ({"base_point": (3.0, 4.0), "base_y": 4.0}, None),
+        ({}, None),
+    ],
+    ids=["point", "line", "both-bases", "no-base"],
+)
+def test_correspondence_holds_exactly_one_base(fields, equations):
+    if equations is None:
+        with pytest.raises(ValidationError, match="exactly one of base_point"):
+            Correspondence((1.0, 2.0), **fields)
+    else:
+        assert Correspondence((1.0, 2.0), **fields).equations == equations
+
+
 def test_too_few_equations_keep_their_messages():
     rng = np.random.default_rng(3)
     truth = _random_h(rng)

@@ -14,6 +14,7 @@ from poolkey import (
     DetectionSet,
     EvalParams,
     FrameAnnotation,
+    HeatmapVolume,
     MatchCounts,
     ShapeError,
     ValidationError,
@@ -32,7 +33,13 @@ from poolkey import (
     write_report_json,
     write_sweep_csv,
 )
-from poolkey.model import CHANNEL_IDS, KeyPointClass, KeyPointId
+from poolkey.heatmap import gate, summarize
+from poolkey.model import (
+    CHANNEL_IDS,
+    KeyPointClass,
+    KeyPointId,
+    canonical_channel_index,
+)
 
 WL0 = KeyPointId(KeyPointClass.WALL_LEFT, 0)
 WL1 = KeyPointId(KeyPointClass.WALL_LEFT, 1)
@@ -301,6 +308,78 @@ def test_recall_non_decreasing_in_beta():
             r = recall(counts)
             assert r >= last - 1e-12
             last = r
+
+
+def _noisy_pairs(seed, frames=5, rows=12, cols=16):
+    """Softmax volumes with a peak of random height near each annotated cell,
+    over Gaussian logits, so that each beta and tolerance scores differently."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for i in range(frames):
+        ids = [CHANNEL_IDS[int(k)] for k in rng.choice(96, size=30, replace=False)]
+        points = tuple(
+            AnnotationPoint(kp, float(rng.integers(0, cols)), float(rng.integers(0, rows)))
+            for kp in ids
+        )
+        logits = rng.normal(0, 1, size=(96, rows, cols))
+        for p in points:
+            row = int(np.clip(p.v + rng.integers(-3, 4), 0, rows - 1))
+            col = int(np.clip(p.u + rng.integers(-3, 4), 0, cols - 1))
+            logits[canonical_channel_index(p.kp), row, col] += rng.uniform(0, 10)
+        ann = FrameAnnotation(f"frame{i}", rows, cols, points)
+        pairs.append((softmax_normalize(logits), ann))
+    return pairs
+
+
+def _reference_mean_f1(pairs, beta, tolerance):
+    """evaluate's mean F1 of the frames decoded, or gated, at beta."""
+    params = DecodeParams(beta)
+    gated = []
+    for frame, ann in pairs:
+        if isinstance(frame, HeatmapVolume):
+            gated.append((decode(frame, params, ann.frame_id), ann))
+        else:
+            gated.append((gate(frame, params, ann.frame_id), ann))
+    return evaluate(gated, EvalParams(tolerance_px=tolerance)).mean_f1
+
+
+@pytest.mark.parametrize("form", ["volumes", "summaries", "shuffled", "empty"])
+def test_sweeps_score_as_evaluate_of_the_same_gated_pairs(form):
+    pairs = _noisy_pairs(23)
+    if form == "summaries":
+        pairs = [(summarize(volume), ann) for volume, ann in pairs]
+    elif form == "shuffled":
+        pairs = [pairs[i] for i in np.random.default_rng(5).permutation(len(pairs))]
+    elif form == "empty":
+        pairs = []
+    betas = [round(0.05 * i, 12) for i in range(21)]
+    tolerances = [1.0 + 0.5 * i for i in range(19)]
+    by_beta = beta_sweep(pairs, betas, tolerance_px=2.5)
+    by_tolerance = tolerance_sweep(pairs, 0.9, tolerances)
+    assert by_beta == [(b, _reference_mean_f1(pairs, b, 2.5)) for b in betas]
+    assert by_tolerance == [(t, _reference_mean_f1(pairs, 0.9, t)) for t in tolerances]
+    if pairs:  # the frames must tell the grid points apart
+        assert len({f for _, f in by_beta}) > 5
+        assert len({f for _, f in by_tolerance}) > 5
+
+
+def test_sweeps_raise_what_evaluate_raises():
+    (volume, ann), *_ = _noisy_pairs(29, frames=1)
+    # the gate takes the annotation's frame id, so through a sweep a pair can
+    # only mismatch in its size
+    smaller = FrameAnnotation(ann.frame_id, ann.rows - 1, ann.cols, ())
+    for bad, error in [
+        ([(volume, ann), (volume, ann)], ValidationError),
+        ([(volume, smaller)], ShapeError),
+    ]:
+        gated = [(decode(v, DecodeParams(0.9), a.frame_id), a) for v, a in bad]
+        with pytest.raises(error) as expected:
+            evaluate(gated, EvalParams(tolerance_px=5.0))
+        with pytest.raises(error) as by_beta:
+            beta_sweep(bad, [0.9], tolerance_px=5.0)
+        with pytest.raises(error) as by_tolerance:
+            tolerance_sweep(bad, 0.9, [5.0])
+        assert str(by_beta.value) == str(by_tolerance.value) == str(expected.value)
 
 
 def test_tolerance_sweep_flip_around_planted_error():
