@@ -4,6 +4,10 @@ Exit codes: 0 success, 2 usage, 3 missing or unreadable file, 4 validation,
 5 file format, 6 estimation failure, 7 scene sampling failure. Errors print a
 single line "error: <category>: <message>" on stderr, and warnings a line
 "warning: <message>".
+
+POOL_THREADS, in ASCII digits, sets the worker threads of synth, eval and
+sweep: unset means 1, and 0 or a value above the usable CPU count means that
+count.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ import argparse
 import logging
 import math
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -79,18 +84,20 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _workers() -> int:
+    """Worker threads from POOL_THREADS, at most the usable CPU count."""
     raw = os.environ.get("POOL_THREADS", "").strip()
     if not raw:
         return 1
-    try:
-        value = int(raw)
-    except ValueError:
+    if not re.fullmatch(r"-?[0-9]+", raw):
         raise ValidationError(f"POOL_THREADS must be an integer, got {raw!r}")
+    value = int(raw)
     if value < 0:
         raise ValidationError("POOL_THREADS must be non-negative")
-    if value == 0:
-        return os.cpu_count() or 1
-    return value
+    if hasattr(os, "sched_getaffinity"):
+        usable = len(os.sched_getaffinity(0))
+    else:
+        usable = os.cpu_count() or 1
+    return min(value, usable) if value else usable
 
 
 GRID_MAX_POINTS = 10_000  # the longest --grid a sweep accepts
@@ -215,11 +222,9 @@ def _cmd_eval(args) -> int:
     else:
         write_report_json(report, args.out)
         print(f"mean_f1 {report.mean_f1!r}")
-    if args.per_class or args.per_keypoint:
-        # both CSV views come from the same writer; one row set covers both
-        for path in (args.per_class, args.per_keypoint):
-            if path:
-                write_report_csv(report, path)
+    # --per-class and --per-keypoint name the same combined CSV
+    for path in filter(None, (args.per_class, args.per_keypoint)):
+        write_report_csv(report, path)
     return 0
 
 
@@ -321,8 +326,8 @@ def build_parser() -> _Parser:
     p.add_argument("--gt-dir", required=True, help="directory of annotation JSON")
     p.add_argument("--tolerance", type=float, default=5.0, help="match radius, px")
     p.add_argument("--beta", type=float, default=0.9, help="entropy gate strength")
-    p.add_argument("--per-class", help="per-class/key-point CSV path")
-    p.add_argument("--per-keypoint", help="per-class/key-point CSV path")
+    p.add_argument("--per-class", help="CSV: every class, then every key-point row")
+    p.add_argument("--per-keypoint", help="the same combined CSV as --per-class")
     p.add_argument("--out", help="report JSON path (stdout when omitted)")
     p.set_defaults(func=_cmd_eval)
 

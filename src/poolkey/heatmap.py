@@ -3,7 +3,8 @@
 Covers the delta/flat training targets, softmax normalization of raw logits,
 the summed cross-entropy loss in nats, per-channel Shannon entropy, the
 entropy-gated argmax decoder (a per-frame channel summary and the gate over
-it), and the little-endian binary volume file.
+it), and the little-endian binary volume file, read one float32 plane at a
+time with no float64 plane built.
 """
 
 from __future__ import annotations
@@ -42,6 +43,8 @@ VOLUME_MAGIC = b"PKHV"
 VOLUME_VERSION = 1
 _HEADER = struct.Struct("<IIII")  # version, rows, cols, channels
 _PAYLOAD_OFFSET = len(VOLUME_MAGIC) + _HEADER.size
+# cells per float64 leaf of a plane's sums: a quarter of a 288x512 plane
+_LEAF = 36_864
 
 
 @dataclass(frozen=True)
@@ -113,7 +116,7 @@ class HeatmapVolume:
         arr = np.asarray(data, dtype=np.float64, order="C")
         if arr.ndim != 3 or 0 in arr.shape:
             raise ShapeError(f"need non-empty channels x rows x cols, got {arr.shape}")
-        self.data = _filled(arr.shape, enumerate(arr)).data
+        self.data = _filled(arr.shape, _checked_planes(len(arr), enumerate(arr))).data
 
     @property
     def channels(self) -> int:
@@ -131,13 +134,14 @@ class HeatmapVolume:
         return self.data[index]
 
 
-def _filled(shape: tuple[int, int, int], planes: Iterable) -> HeatmapVolume:
-    """A volume of shape holding the checked (channels, plane) pairs.
+def _filled(shape: tuple[int, int, int], checked: Iterable) -> HeatmapVolume:
+    """A volume of shape holding the triples that _checked_planes yields.
 
-    The planes are copied into one fresh array, marked read-only once checked.
+    The planes are cast into one fresh float64 array, marked read-only once
+    every plane is checked.
     """
     data = np.empty(shape)
-    for channels, plane in _checked_planes(shape[0], planes):
+    for channels, plane, _ in checked:
         data[channels] = plane
     data.setflags(write=False)
     volume = object.__new__(HeatmapVolume)
@@ -147,29 +151,31 @@ def _filled(shape: tuple[int, int, int], planes: Iterable) -> HeatmapVolume:
 
 def _checked_planes(
     count: int, planes: Iterable[tuple[int | list[int], np.ndarray]]
-) -> Iterator[tuple[int | list[int], np.ndarray]]:
-    """Validate a volume of count channels one float64 plane at a time.
+) -> Iterator[tuple[int | list[int], np.ndarray, float]]:
+    """Validate a volume of count channels one float32 or float64 plane at a time.
 
     Each plane comes with the channel or channels that hold it: it is checked
-    once and its sum recorded at each of them, and the clean pairs are yielded.
-    The errors keep the precedence of a check over the whole volume: a
-    non-finite value in any channel raises NumericError before a negative
-    value in any channel raises ValidationError, which comes before the
-    channel whose sum is furthest from one. Planes after the first negative
-    value are still checked for non-finite values, but no longer yielded.
+    once, as its exact float64 cast, and its sum recorded at each of them, and
+    each clean pair is yielded with the plane's minimum. The errors keep the
+    precedence of a check over the whole volume: a non-finite value in any
+    channel raises NumericError before a negative value in any channel raises
+    ValidationError, which comes before the channel whose sum is furthest from
+    one. Planes after the first negative value are still checked for
+    non-finite values, but no longer yielded.
     """
     sums = np.empty(count)
     negative = False
     for channels, plane in planes:
         # inf + -inf and a sum beyond the float range are reported below
         with np.errstate(invalid="ignore", over="ignore"):
-            sums[channels] = total = plane.sum()
+            sums[channels] = total = _plane_sum(plane)
         # a finite sum has finite terms; finite terms may still overflow it
         if not math.isfinite(total) and not np.isfinite(plane).all():
             raise NumericError("volume contains non-finite values")
-        negative = negative or bool(plane.min() < 0)
+        minimum = plane.min()
+        negative = negative or bool(minimum < 0)
         if not negative:
-            yield channels, plane
+            yield channels, plane, minimum
     if negative:
         raise ValidationError("volume contains negative values")
     worst = int(np.abs(sums - 1.0).argmax())
@@ -178,6 +184,35 @@ def _checked_planes(
             f"channel {worst} sums to {float(sums[worst])}, expected 1 within "
             f"{CHANNEL_SUM_TOLERANCE}"
         )
+
+
+def _pairwise(size: int, leaf, start: int = 0) -> float:
+    """np.sum of size float64 cells, from leaf(start, stop), np.sum of each leaf.
+
+    numpy sums a contiguous float64 array as one pairwise tree (Higham, 1993):
+    a node of more than 128 cells splits at n2 = n//2 - (n//2) % 8, and np.sum
+    of a node's slice is that node's sum. So the leaves of at most _LEAF cells,
+    added in the tree's order, give every bit of one np.sum over all the cells.
+    """
+    if size <= _LEAF:
+        return leaf(start, start + size)
+    half = size // 2 - size // 2 % 8
+    return _pairwise(half, leaf, start) + _pairwise(size - half, leaf, start + half)
+
+
+def _plane_sum(plane: np.ndarray) -> float:
+    """plane.sum() of a float64 plane, or of the float64 cast of a float32 one."""
+    if plane.dtype == np.float64:
+        return plane.sum()
+    cells = plane.ravel()
+    work = np.empty(min(cells.size, _LEAF))
+
+    def leaf(start, stop):
+        part = work[: stop - start]
+        np.copyto(part, cells[start:stop])
+        return part.sum()
+
+    return _pairwise(cells.size, leaf)
 
 
 def in_frame(u: float, v: float, rows: int, cols: int) -> bool:
@@ -250,7 +285,8 @@ class PeakPlan(NamedTuple):
                 yield [channel], plane
 
     def volume(self) -> HeatmapVolume:
-        return _filled((self.channels, self.rows, self.cols), self.planes())
+        shape = (self.channels, self.rows, self.cols)
+        return _filled(shape, _checked_planes(self.channels, self.planes()))
 
 
 def softmax_normalize(raw) -> HeatmapVolume:
@@ -282,19 +318,32 @@ def channel_entropy(channel) -> float:
     arr = np.asarray(channel, dtype=np.float64)
     if (arr < 0).any():
         raise ValidationError("channel contains negative entries")
-    return _entropy(arr, np.empty(arr.size))
+    return _positive_entropy(arr, arr.all())
+
+
+def _positive_entropy(plane: np.ndarray, all_positive: bool) -> float:
+    """channel_entropy of a plane with no negative entry, over its positive cells."""
+    positive = plane if all_positive else plane[plane > 0]
+    # a fresh leaf buffer: none is held while the checks sum the next plane
+    return _entropy(positive, np.empty(min(positive.size, _LEAF)))
 
 
 def _entropy(plane: np.ndarray, work: np.ndarray) -> float:
-    """channel_entropy of a plane known to hold no negative entry.
+    """Entropy in nats of plane, a channel's positive cells in any shape.
 
-    The log terms go into work, a float64 buffer of at least plane.size cells.
+    The float64 terms go into work, a float64 buffer of at least
+    min(plane.size, _LEAF) cells, one leaf at a time.
     """
-    # every cell of a typical detector channel is positive: skip the copy then
-    positive = plane.ravel() if plane.all() else plane[plane > 0]
-    terms = np.log(positive, out=work[: positive.size])
-    terms *= positive
-    return float(-terms.sum())
+    cells = plane.ravel()
+
+    def leaf(start, stop):
+        terms = work[: stop - start]
+        np.copyto(terms, cells[start:stop])
+        np.log(terms, out=terms)
+        terms *= cells[start:stop]
+        return terms.sum()
+
+    return float(-_pairwise(cells.size, leaf))
 
 
 @dataclass(frozen=True)
@@ -329,28 +378,31 @@ class ChannelSummary:
             )
 
 
-def _summarize_planes(rows: int, cols: int, planes) -> ChannelSummary:
-    """Summarize validated float64 planes of one size, which may share one buffer."""
-    work = np.empty(rows * cols)
+def _summarize_planes(rows: int, cols: int, checked) -> ChannelSummary:
+    """Summarize (channels, plane, minimum) triples as _checked_planes yields them.
+
+    The planes have one size and may share one buffer.
+    """
     flat = {}  # value -> entropy of the flat planes holding it
     entropies, cells = [], []
-    for plane in planes:
+    for _, plane, minimum in checked:
         cell = int(plane.argmax())
-        value = plane.flat[0]
-        # a flat plane's argmax is its first cell, so only then test the rest
-        if cell == 0 and plane.min() == value:
-            if value not in flat:
-                flat[value] = _entropy(plane, work)
-            entropies.append(flat[value])
+        # a flat plane's argmax is its first cell, so only then test the rest;
+        # a minimum above 0 means every cell is positive
+        if cell == 0 and minimum == plane.flat[0]:
+            if minimum not in flat:
+                flat[minimum] = _positive_entropy(plane, minimum > 0)
+            entropies.append(flat[minimum])
         else:
-            entropies.append(_entropy(plane, work))
+            entropies.append(_positive_entropy(plane, minimum > 0))
         cells.append(cell)
     return ChannelSummary(rows, cols, tuple(entropies), tuple(cells))
 
 
 def summarize(volume: HeatmapVolume) -> ChannelSummary:
     """Each channel's entropy and argmax cell."""
-    return _summarize_planes(volume.rows, volume.cols, volume.data)
+    planes = ((k, plane, plane.min()) for k, plane in enumerate(volume.data))
+    return _summarize_planes(volume.rows, volume.cols, planes)
 
 
 def gate(
@@ -392,7 +444,8 @@ def write_volume(volume: HeatmapVolume | PeakPlan, path: str | Path) -> None:
     """
     shape = (volume.rows, volume.cols)
     if isinstance(volume, PeakPlan):
-        pairs = _checked_planes(volume.channels, volume.planes())
+        checked = _checked_planes(volume.channels, volume.planes())
+        pairs = ((channels, plane) for channels, plane, _ in checked)
     else:
         pairs = enumerate(volume.data)
     try:
@@ -457,17 +510,16 @@ def _read_into(handle: BinaryIO, buffer: np.ndarray) -> np.ndarray:
     return buffer
 
 
-def _file_planes(handle: BinaryIO, shape: tuple) -> Iterator[tuple[int, np.ndarray]]:
-    """The payload's checked (channel, float64 plane) pairs, in one reused buffer.
+def _file_planes(handle: BinaryIO, shape: tuple) -> Iterator[tuple]:
+    """The payload's checked (channel, float32 plane, minimum) triples.
 
-    A NaN or infinity is a format error at its offset in the file.
+    Each plane is read into one reused buffer. A NaN or infinity is a format
+    error at its offset in the file.
     """
     raw = np.empty(shape[1:], "<f4")
     planes = (_read_into(handle, raw) for _ in range(shape[0]))
     try:
-        yield from _checked_planes(
-            shape[0], _cast_planes(enumerate(planes), raw.shape, np.float64)
-        )
+        yield from _checked_planes(shape[0], enumerate(planes))
     except NumericError:
         # raw holds the plane read last, where the first non-finite value is
         first = int(np.isfinite(raw).argmin())
@@ -486,12 +538,12 @@ def read_volume(path: str | Path) -> HeatmapVolume:
 def read_summary(path: str | Path) -> ChannelSummary:
     """The summary of a volume file, read and validated as read_volume does.
 
-    Memory holds three planes, never the whole file.
+    Memory holds one float32 plane and float64 leaves of at most _LEAF cells,
+    never the whole file nor a float64 plane.
     """
     with open(path, "rb") as handle:
         shape = _read_header(handle, path)
-        planes = (plane for _, plane in _file_planes(handle, shape))
-        return _summarize_planes(*shape[1:], planes)
+        return _summarize_planes(*shape[1:], _file_planes(handle, shape))
 
 
 def _cast_planes(pairs, shape, dtype) -> Iterator[tuple]:

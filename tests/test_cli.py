@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import pathlib
 import shutil
 import tracemalloc
@@ -23,6 +24,7 @@ from poolkey import (
     write_model,
     write_volume,
 )
+from poolkey import cli, synth
 from poolkey.cli import main, parse_grid
 from poolkey.heatmap import make_target_volume
 from poolkey.synth import CameraJitter
@@ -810,3 +812,67 @@ def test_a_volume_header_with_zero_channels_exits_5(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: format: channels must be positive (byte offset 16)\n"
     )
+
+
+@pytest.mark.parametrize(
+    "raw, expected",
+    [(None, 1), ("", 1), ("  ", 1), (" 2 ", 2), ("3", 3), ("4", 3), ("0", 3),
+     ("99999999999999999999999", 3)],
+)
+def test_pool_threads_is_capped_at_the_usable_cpus(monkeypatch, raw, expected):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)  # affinity wins where it exists
+    if raw is None:
+        monkeypatch.delenv("POOL_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("POOL_THREADS", raw)
+    assert cli._workers() == expected
+
+
+@pytest.mark.parametrize("cpus, expected", [(None, 1), (1, 1), (4, 4), (8, 5)])
+def test_pool_threads_without_affinity_caps_at_the_cpu_count(
+    monkeypatch, cpus, expected
+):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setenv("POOL_THREADS", "5")
+    assert cli._workers() == expected
+    monkeypatch.setenv("POOL_THREADS", "0")
+    assert cli._workers() == (cpus or 1)
+
+
+@pytest.mark.parametrize(
+    "raw", ["1_0", "\u0663", "\u00b2", "+3", "3.0", "0x3", "-", "1 2"]
+)
+def test_pool_threads_takes_ascii_digits_only(workspace, capsys, monkeypatch, raw):
+    monkeypatch.setenv("POOL_THREADS", raw)
+    data = workspace / "data"
+    pairs = ["--pred-dir", str(data / "volumes"), "--gt-dir", str(data / "annotations")]
+    assert main(["eval", *pairs]) == 4
+    assert capsys.readouterr().err == (
+        f"error: validation: POOL_THREADS must be an integer, got {raw.strip()!r}\n"
+    )
+
+
+def test_a_huge_pool_threads_reaches_the_workers_capped(
+    workspace, tmp_path, capsys, monkeypatch
+):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setenv("POOL_THREADS", str(10**23))
+    requested = []
+
+    def recording_map(fn, items, workers):
+        # runs in the calling thread: no executor starts at any value
+        requested.append(workers)
+        return [fn(item) for item in items]
+
+    monkeypatch.setattr(cli, "thread_map", recording_map)
+    monkeypatch.setattr(synth, "thread_map", recording_map)
+    data = workspace / "data"
+    pairs = ["--pred-dir", str(data / "volumes"), "--gt-dir", str(data / "annotations")]
+    assert main(["eval", *pairs, "--out", str(tmp_path / "r.json")]) == 0
+    argv = ["synth", "--model", str(workspace / "model.json"), "--count", "2",
+            "--rows", "36", "--cols", "64", "--out", str(tmp_path / "s")]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert requested == [2, 2]

@@ -568,3 +568,23 @@ def test_softmax_holds_one_work_array_besides_its_volume():
         tracemalloc.stop()
     # the shifted work array and the volume: the three-temporary formula held four
     assert peak < 2.2 * logits.nbytes, peak / logits.nbytes
+
+
+@pytest.mark.parametrize("leaf", [128, None], ids=["leaf-128", "module-leaf"])
+def test_leaf_sums_rebuild_numpy_pairwise_sum(monkeypatch, leaf):
+    """Canary: the read path's float64 sums rest on numpy's summation tree."""
+    leaf = leaf or heatmap._LEAF
+    monkeypatch.setattr(heatmap, "_LEAF", leaf)  # the real leaf, or the least
+    rng = np.random.default_rng(1993)
+    lengths = [*range(1, 301), heatmap._LEAF - 1, heatmap._LEAF + 1]
+    lengths += [2 * heatmap._LEAF + 8, 147_456]
+    for size in lengths:
+        # float32 values over eight decades, read back as float64 like a plane
+        scale = 10.0 ** rng.uniform(-4, 4, size)
+        cells = (rng.random(size) * scale).astype(np.float32).astype(np.float64)
+        got = heatmap._pairwise(size, lambda start, stop: cells[start:stop].sum())
+        expected = cells.sum()
+        assert float(got).hex() == float(expected).hex(), (
+            f"numpy's pairwise summation rule has changed: {size} cells in "
+            f"leaves of {leaf} sum to {got!r}, np.sum gives {expected!r}"
+        )

@@ -124,6 +124,26 @@ def test_read_summary_matches_reference_on_softmax_volumes(tmp_path):
         _assert_matches_reference(path)
 
 
+def test_reference_cases_hold_when_each_plane_spans_many_leaves(tmp_path, monkeypatch):
+    monkeypatch.setattr(heatmap, "_LEAF", 128)
+    rng = np.random.default_rng(43)
+    params = SynthParams(frame_rows=72, frame_cols=128, noise=NOISY, seed=4)
+    sources = {
+        "synth": make_scene(MODEL, params, 0).plan,
+        "hand_made": HeatmapVolume(_hand_made_volume(24, 24)),
+        "softmax": softmax_normalize(rng.normal(0, 3, size=(96, 24, 23))),
+        "wide_softmax": softmax_normalize(rng.normal(0, 30, size=(96, 17, 29))),
+    }
+    for name, source in sources.items():
+        path = tmp_path / f"{name}.pkhv"
+        write_volume(source, path)
+        _assert_matches_reference(path)
+    for name, data in _flat_volumes().items():
+        path = tmp_path / f"{name}.pkhv"
+        _write_raw(path, np.tile(data, (1, 4, 8)) / np.float32(32))
+        _assert_matches_reference(path)
+
+
 def _flat_volumes() -> dict[str, np.ndarray]:
     """float32 volumes whose flat channels the summary may share work between."""
     rows, cols = 6, 7
@@ -432,3 +452,78 @@ def test_read_summary_never_holds_the_payload(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 4 * rows * cols * 8, peak  # the payload is 96 f32 planes
+
+
+FULL_SHAPE = (96, 288, 512)
+
+
+@pytest.fixture(scope="module")
+def full_size_file(tmp_path_factory):
+    """A volume file of the paper's size: flat, delta, two-valued and softmax planes.
+
+    Written one plane at a time; every cell of a softmax plane is positive.
+    """
+    channels, rows, cols = FULL_SHAPE
+    cells = rows * cols
+    rng = np.random.default_rng(288)
+    path = tmp_path_factory.mktemp("full") / "mixed.pkhv"
+    with open(path, "wb") as handle:
+        handle.write(b"PKHV")
+        handle.write(np.array([1, rows, cols, channels], "<u4").tobytes())
+        for k in range(channels):
+            kind = k % 4
+            plane = np.full(cells, 1.0 / cells)
+            if kind == 1:
+                plane[:] = 0.0
+                plane[rng.integers(cells)] = 1.0
+            elif kind == 2:
+                mass = rng.uniform(0.0, 1.0)
+                plane[:] = (1.0 - mass) / (cells - 1)
+                plane[rng.integers(cells)] = mass
+            elif kind == 3:
+                logits = rng.normal(0.0, 3.0, cells)
+                plane = np.exp(logits - logits.max())
+                plane /= plane.sum()
+            handle.write(plane.astype("<f4").tobytes())
+    return path
+
+
+def _payload_plane(path, channel) -> np.ndarray:
+    """One float32 plane of a FULL_SHAPE file, read on its own."""
+    _, rows, cols = FULL_SHAPE
+    offset = 20 + 4 * rows * cols * channel
+    plane = np.fromfile(path, "<f4", count=rows * cols, offset=offset)
+    return plane.reshape(rows, cols)
+
+
+def test_full_size_reads_match_whole_plane_numpy(full_size_file):
+    volume = read_volume(full_size_file)
+    entropies, cells = [], []
+    for k in range(FULL_SHAPE[0]):
+        plane = _payload_plane(full_size_file, k).astype(np.float64)
+        assert np.array_equal(_bits(volume.channel(k)), _bits(plane)), k
+        # the whole plane at once: one np.log, one product, one np.sum
+        positive = plane[plane > 0]
+        entropies.append(-(positive * np.log(positive)).sum())
+        cells.append(int(plane.argmax()))
+    for summary in (read_summary(full_size_file), summarize(volume)):
+        assert (summary.rows, summary.cols) == FULL_SHAPE[1:]
+        assert np.array_equal(_bits(summary.entropies), _bits(entropies))
+        assert summary.cells == tuple(cells)
+
+
+def test_full_size_reads_hold_no_float64_plane(full_size_file):
+    plane = FULL_SHAPE[1] * FULL_SHAPE[2] * 4  # bytes of one float32 plane
+    read_summary(full_size_file)  # lazy imports and caches stay out of the peak
+    tracemalloc.start()
+    try:
+        read_summary(full_size_file)
+        summary_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        volume = read_volume(full_size_file)
+        volume_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one float32 plane and a float64 leaf, below one float64 plane
+    assert summary_peak < 2 * plane, summary_peak
+    assert volume_peak < volume.data.nbytes + plane + 10**6, volume_peak

@@ -12,12 +12,14 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from poolkey import PoolError, channel_entropy, read_volume  # noqa: E402
+from poolkey import PoolError, channel_entropy, heatmap, read_volume  # noqa: E402
 from poolkey.heatmap import read_summary, summarize  # noqa: E402
 
 EXAMPLES = settings(max_examples=40, deadline=None, database=None)
 
 GRID = st.tuples(st.integers(1, 4), st.integers(1, 5))
+# planes of up to 576 cells: with leaves of 128 cells, their sums span leaves
+LEAF_GRID = st.tuples(st.integers(1, 24), st.integers(1, 24))
 KIND = st.sampled_from(
     ["flat", "nudged_flat", "delta", "two_valued", "half_first", "softmax"]
 )
@@ -77,6 +79,22 @@ def _whole_volume_summary(path):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_both_readers_agree_on_mixed_channels(tmp_path_factory, grid, kinds, seed):
+    _assert_readers_agree_on_mixed_channels(tmp_path_factory, grid, kinds, seed)
+
+
+@EXAMPLES
+@given(
+    grid=LEAF_GRID,
+    kinds=st.lists(KIND, min_size=96, max_size=96),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_both_readers_agree_across_leaves(tmp_path_factory, grid, kinds, seed):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(heatmap, "_LEAF", 128)
+        _assert_readers_agree_on_mixed_channels(tmp_path_factory, grid, kinds, seed)
+
+
+def _assert_readers_agree_on_mixed_channels(tmp_path_factory, grid, kinds, seed):
     rows, cols = grid
     rng = np.random.default_rng(seed)
     data = np.stack([_plane(kind, rows, cols, rng) for kind in kinds])
@@ -87,6 +105,10 @@ def test_both_readers_agree_on_mixed_channels(tmp_path_factory, grid, kinds, see
     assert len(streamed) == 4, streamed  # every drawn channel is valid
     reference = [channel_entropy(plane) for plane in data.astype(np.float64)]
     assert streamed[2] == tuple(np.array(reference).view(np.uint64).tolist())
+    # and the entropy as one whole-plane numpy expression, cell order kept
+    positives = (plane[plane > 0] for plane in data.astype(np.float64))
+    whole = [-(p * np.log(p)).sum() for p in positives]
+    assert streamed[2] == tuple(np.array(whole).view(np.uint64).tolist())
 
 
 SPECIAL = st.sampled_from(
