@@ -38,6 +38,8 @@ detections_to_dict = annotation_to_dict
 
 
 def _frame_from_dict(data: dict, context: str, frame_type, point_type):
+    if not isinstance(data, dict):
+        raise ValidationError(f"{context} document must be an object")
     frame_id = _require(data, "frame_id", str, context)
     rows = _require(data, "rows", int, context)
     cols = _require(data, "cols", int, context)
@@ -49,9 +51,10 @@ def _frame_from_dict(data: dict, context: str, frame_type, point_type):
             raise ValidationError(f'{context}: field "points" holds a non-object')
         kp = _point_id(entry, context)
         where = f"{context} point {kp.label}"
-        values = {
-            name: float(_require(entry, name, (int, float), where)) for name in names
-        }
+        try:
+            values = {n: float(_require(entry, n, (int, float), where)) for n in names}
+        except OverflowError:
+            raise ValidationError(f"{where}: value beyond the float range") from None
         points.append(point_type(kp, **values))
     return frame_type(frame_id, rows, cols, tuple(points))
 
@@ -178,8 +181,11 @@ def rescale_annotation(ann: FrameAnnotation, factor: float) -> FrameAnnotation:
     shrinks the grid past a coordinate, the coordinate clamps to just inside
     the new edge.
     """
-    if not factor > 0:
-        raise ValidationError(f"scale factor must be positive, got {factor}")
+    if not (0 < factor < math.inf and math.isfinite(max(ann.rows, ann.cols) / factor)):
+        raise ValidationError(
+            f"scale factor {factor} must be positive and finite and keep the "
+            f"{ann.rows}x{ann.cols} frame within the float range"
+        )
     rows = max(1, int(ann.rows / factor + 0.5))
     cols = max(1, int(ann.cols / factor + 0.5))
     points = []

@@ -27,12 +27,7 @@ from .errors import (
     ShapeError,
     ValidationError,
 )
-from .model import (
-    CHANNEL_COUNT,
-    KeyPointId,
-    canonical_channel_index,
-    keypoint_for_channel,
-)
+from .model import CHANNEL_COUNT, CHANNEL_IDS, KeyPointId, canonical_channel_index
 
 logger = logging.getLogger(__name__)
 
@@ -314,8 +309,13 @@ def cross_entropy_loss(target: HeatmapVolume, pred: HeatmapVolume) -> float:
 
 
 def channel_entropy(channel) -> float:
-    """Shannon entropy of one channel in nats, with 0 ln 0 taken as 0."""
+    """Shannon entropy of one channel in nats, with 0 ln 0 taken as 0.
+
+    A non-finite entry is a NumericError, then a negative one a ValidationError.
+    """
     arr = np.asarray(channel, dtype=np.float64)
+    if not np.isfinite(arr).all():
+        raise NumericError("channel contains non-finite entries")
     if (arr < 0).any():
         raise ValidationError("channel contains negative entries")
     return _positive_entropy(arr, arr.all())
@@ -415,12 +415,10 @@ def gate(
     """
     threshold = params.beta * math.log(summary.rows * summary.cols)
     detections = []
-    for index, (entropy, cell) in enumerate(zip(summary.entropies, summary.cells)):
+    for kp, entropy, cell in zip(CHANNEL_IDS, summary.entropies, summary.cells):
         if entropy < threshold:
             row, col = divmod(cell, summary.cols)
-            detections.append(
-                Detection(keypoint_for_channel(index), float(col), float(row), entropy)
-            )
+            detections.append(Detection(kp, float(col), float(row), entropy))
     return DetectionSet(frame_id, summary.rows, summary.cols, tuple(detections))
 
 

@@ -17,10 +17,12 @@ SVD, and every hypothesis is scored in one (block, n) residual array.
 ``estimate_dlt``'s rank test and ``Homography``'s finiteness and
 determinant tests apply per hypothesis. The most inliers win, then the
 smaller inlier residual sum, then the earlier draw, within a block and
-across blocks. Only the winning consensus mask leaves the kernel: it is
-re-fit with the scalar ``estimate_dlt``, whose arithmetic fixes the
-output bytes, and the batched fits therefore never need to match the
-scalar ones bit for bit. The run stops after the block of the first draw
+across blocks. A consensus of exactly eight equations sums to 0.0: it is
+its own minimal sample, fit exactly, and the batched and the scalar fits
+round its true sum of 0 apart. Only the winning consensus mask leaves the
+kernel: it is re-fit with the scalar ``estimate_dlt``, whose arithmetic
+fixes the output bytes, and the batched fits therefore never need to match
+the scalar ones bit for bit. The run stops after the block of the first draw
 whose consensus is every correspondence, which a later draw can only tie
 with the same mask; a non-finite hypothesis in a later block then raises no
 ``NumericError``. The kernel works row by row, so no output depends on
@@ -44,7 +46,7 @@ from .errors import (
     ValidationError,
 )
 from .heatmap import DetectionSet
-from .model import BasePoolModel, KeyPointId, LocationKind, base_pixel_coordinates
+from .model import BasePoolModel, KeyPointId, base_pixel_coordinates
 
 # A constraint system must provide at least this many independent equations.
 MIN_EQUATIONS = 8
@@ -396,14 +398,17 @@ def fit_ransac(corrs: Sequence[Correspondence], params: RansacParams) -> RansacF
         r = _score_block(h, image, base, is_point)
         mask = r <= params.inlier_threshold_px
         inliers = mask.sum(axis=1)
-        usable = ~degenerate_fit & (mask @ equations >= MIN_EQUATIONS)
+        consensus = mask @ equations
+        usable = ~degenerate_fit & (consensus >= MIN_EQUATIONS)
         full = np.flatnonzero(usable & (inliers == len(corrs)))
         made = int(full[0]) + 1 if full.size else draws
         degenerate += int(degenerate_fit[:made].sum())
         if not usable.any():
             continue
         top = usable & (inliers == inliers[usable].max())
-        spent = np.where(top, np.where(mask, r, 0.0).sum(axis=1), np.inf)
+        # an exact fit of its own eight equations sums to 0.0, whatever r holds
+        counted = mask & (consensus > MIN_EQUATIONS)[:, None]
+        spent = np.where(top, np.where(counted, r, 0.0).sum(axis=1), np.inf)
         # argmin returns the first of equal sums, so the earlier draw wins
         winner = int(np.argmin(spent))
         key = (int(inliers[winner]), -float(spent[winner]))
@@ -456,7 +461,7 @@ def build_correspondences(
         location = pixels.get(d.kp)
         if location is None:
             skipped.append(d.kp)
-        elif location.kind is LocationKind.FIXED_POINT:
+        elif location.x_px is not None:
             correspondences.append(
                 Correspondence.point((d.u, d.v), (location.x_px, location.y_px))
             )

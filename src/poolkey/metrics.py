@@ -1,10 +1,11 @@
 """Detection quality: tolerance matching, precision/recall/F1, and sweeps.
 
 Matching is channel-wise because each frame carries at most one detection
-and one ground-truth point per key-point identity. A detection further than
-the tolerance from its ground truth is counted as both a false positive and
-a false negative: the detector fired somewhere wrong and still missed the
-real point.
+and one ground-truth point per key-point identity. It walks the points the
+frame holds, and a truth that no detection met is a miss. A detection
+further than the tolerance from its ground truth is counted as both a false
+positive and a false negative: the detector fired somewhere wrong and still
+missed the real point.
 
 Every frame is gated under its annotation's frame id and matched in one
 pass, which checks the pairing and sorts by frame id. ``evaluate`` builds
@@ -60,37 +61,34 @@ class FrameMatch:
     per_channel: dict[KeyPointId, MatchCounts]
 
 
+# the outcomes of one key-point in one frame, shared by every frame
+_HIT = MatchCounts(tp=1)
+_FALSE_ALARM = MatchCounts(fp=1)
+_MISS = MatchCounts(fn=1)
+_MISPLACED = MatchCounts(fp=1, fn=1)  # fired in the wrong place: both at once
+
+
 def match_frame(
     det: DetectionSet, gt: FrameAnnotation, params: EvalParams
 ) -> FrameMatch:
-    """Match one frame's detections against its ground truth, channel-wise."""
+    """Each detection against its key-point's truth; each truth left is a miss."""
     if (det.rows, det.cols) != (gt.rows, gt.cols):
         raise ShapeError(
             f"detections are {det.rows}x{det.cols} but ground truth is "
             f"{gt.rows}x{gt.cols}"
         )
-    detections = det.by_id
     truths = gt.by_id
     per_channel: dict[KeyPointId, MatchCounts] = {}
-    total = MatchCounts()
-    for kp in CHANNEL_IDS:
-        d = detections.get(kp)
-        g = truths.get(kp)
-        if d is None and g is None:
-            continue
-        if d is not None and g is not None:
-            distance = math.hypot(d.u - g.u, d.v - g.v)
-            if distance <= params.tolerance_px:
-                counts = MatchCounts(tp=1)
-            else:
-                # fired in the wrong place: false alarm plus a missed point
-                counts = MatchCounts(fp=1, fn=1)
-        elif d is not None:
-            counts = MatchCounts(fp=1)
+    for d in det.detections:
+        g = truths.pop(d.kp, None)
+        if g is None:
+            per_channel[d.kp] = _FALSE_ALARM
+        elif math.hypot(d.u - g.u, d.v - g.v) <= params.tolerance_px:
+            per_channel[d.kp] = _HIT
         else:
-            counts = MatchCounts(fn=1)
-        per_channel[kp] = counts
-        total = total + counts
+            per_channel[d.kp] = _MISPLACED
+    per_channel.update(dict.fromkeys(truths, _MISS))
+    total = sum(per_channel.values(), MatchCounts())
     return FrameMatch(gt.frame_id, total, per_channel)
 
 

@@ -166,14 +166,6 @@ class PoolConfig:
         bumper = 2.0 * self.bumper_width_m if self.bumpers else 0.0
         return self.effective_lanes * self.lane_width_m + bumper
 
-    @property
-    def resolved_bulkhead_x_m(self) -> float | None:
-        if not self.bulkhead:
-            return None
-        if self.bulkhead_x_m is not None:
-            return self.bulkhead_x_m
-        return self.basin_length_m / 2.0
-
 
 def standard_configs(bumpers: bool = True) -> tuple[PoolConfig, ...]:
     """The nine supported pool types."""
@@ -269,7 +261,8 @@ def build_base_model(config: PoolConfig) -> BasePoolModel:
     bumper = config.bumper_width_m if config.bumpers else 0.0
     height = config.width_m
     length = config.basin_length_m
-    bulkhead_x = config.resolved_bulkhead_x_m
+    # a set bulkhead_x_m lies strictly inside the basin, so it is never 0
+    bulkhead_x = config.bulkhead_x_m or length / 2.0
 
     def lane_ordinate(index: int) -> float | None:
         if index == 0:
@@ -314,9 +307,9 @@ def build_base_model(config: PoolConfig) -> BasePoolModel:
 
 @dataclass(frozen=True)
 class PixelLocation:
-    """A base-frame location rendered at a fixed pixels-per-meter scale."""
+    """A base-frame location rendered at a fixed pixels-per-meter scale; a
+    horizontal line has no x_px."""
 
-    kind: LocationKind
     x_px: float | None
     y_px: float
 
@@ -338,7 +331,7 @@ def base_pixel_coordinates(
             continue
         loc = entry.location
         x_px = None if loc.x_m is None else loc.x_m * scale_px_per_m
-        out.append((kp, PixelLocation(loc.kind, x_px, loc.y_m * scale_px_per_m)))
+        out.append((kp, PixelLocation(x_px, loc.y_m * scale_px_per_m)))
     return out
 
 

@@ -41,7 +41,6 @@ from .model import (
     CHANNEL_IDS,
     BasePoolModel,
     KeyPointClass,
-    LocationKind,
     _check_scale,
     _write_json,
     base_pixel_coordinates,
@@ -197,7 +196,7 @@ def project_scene(
     basin_px = model.basin_length_m * scale_px_per_m
     points = []
     for kp, loc in base_pixel_coordinates(model, scale_px_per_m):
-        if loc.kind is LocationKind.FIXED_POINT:
+        if loc.x_px is not None:
             projected = _project_safe(m, loc.x_px, loc.y_px)
             if projected is None:
                 continue

@@ -1,6 +1,7 @@
 """Annotation files: JSON documents, CVAT XML imports, rescaling."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -284,3 +285,24 @@ def test_rescale_rejects_non_positive_factors():
     for factor in (0.0, -2.0):
         with pytest.raises(ValidationError, match="positive"):
             rescale_annotation(ann, factor)
+
+
+def test_rescale_rejects_non_finite_and_overflowing_factors():
+    ann = _sample_annotation()
+    for factor in (math.inf, math.nan):
+        with pytest.raises(ValidationError, match="finite"):
+            rescale_annotation(ann, factor)
+    with pytest.raises(ValidationError, match="float range"):
+        rescale_annotation(ann, 1e-320)
+
+
+def test_a_document_that_is_not_an_object_is_rejected():
+    for reader, doc in ((annotation_from_dict, None), (detections_from_dict, 5)):
+        with pytest.raises(ValidationError, match="must be an object"):
+            reader(doc)
+
+
+def test_a_point_value_beyond_the_float_range_is_rejected():
+    point = {"class": "wall_left", "index": 0, "u": 2**1024, "v": 1}
+    with pytest.raises(ValidationError, match="float range"):
+        annotation_from_dict({"frame_id": "f", "rows": 4, "cols": 4, "points": [point]})

@@ -480,6 +480,18 @@ def test_import_cvat_bad_xml(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: format:")
 
 
+@pytest.mark.parametrize("factor", ["1e-320", "inf", "nan"])
+def test_import_cvat_bad_scale_factor(tmp_path, capsys, factor):
+    xml = tmp_path / "task.xml"
+    xml.write_text(CVAT_DOC)
+    out_dir = tmp_path / "o"
+    argv = ["import-cvat", "--xml", str(xml), "--scale-factor", factor]
+    assert main([*argv, "--out-dir", str(out_dir)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: validation: ") and "scale factor" in err
+    assert list(out_dir.iterdir()) == []
+
+
 def test_import_cvat_duplicate_stems(tmp_path, capsys):
     doc = CVAT_DOC.replace('name="b.png"', 'name="a.jpg"')
     xml = tmp_path / "task.xml"

@@ -229,6 +229,15 @@ def test_entropy_reference_values():
         channel_entropy(np.array([0.9, 0.2, -0.1]))
 
 
+@pytest.mark.parametrize(
+    "cells", [[math.nan, 0.5], [math.nan, 0.5, 0.0], [math.inf, 0.5], [math.nan, -1.0]]
+)
+def test_entropy_of_a_non_finite_channel_is_a_numeric_error(cells):
+    # as in a volume, a non-finite entry is reported before a negative one
+    with pytest.raises(NumericError, match="non-finite"):
+        channel_entropy(np.array(cells))
+
+
 def test_entropy_bounded_by_log_cells():
     rng = np.random.default_rng(3)
     for _ in range(50):

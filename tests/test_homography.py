@@ -302,9 +302,12 @@ def _reference_ransac(corrs, params):
             continue
         r = residuals(candidate, corrs)
         mask = r <= params.inlier_threshold_px
-        if equations[mask].sum() < MIN_EQUATIONS:
+        consensus = equations[mask].sum()
+        if consensus < MIN_EQUATIONS:
             continue
-        key = (int(mask.sum()), -float(r[mask].sum()))
+        # an exact fit of its own eight equations: the true residual sum is 0
+        spent = float(r[mask].sum()) if consensus > MIN_EQUATIONS else 0.0
+        key = (int(mask.sum()), -spent)
         if best_key is None or key > best_key:
             best_key = key
             best_mask = mask
