@@ -105,8 +105,12 @@ def parse_cvat(xml_text: str) -> list[FrameAnnotation]:
                 "image element needs name, width, and height attributes"
             )
         try:
-            rows, cols = int(height), int(width)
-        except ValueError:
+            # ASCII digits only: int() also takes other scripts' digits and "_"
+            rows, cols = (
+                int(text) if text.isascii() and text.isdigit() else 0
+                for text in (height, width)
+            )
+        except ValueError:  # more digits than int() converts
             rows = cols = 0
         if rows < 1 or cols < 1:
             raise ValidationError(

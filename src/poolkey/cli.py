@@ -257,19 +257,20 @@ def _cmd_localize(args) -> int:
 
 
 def _cmd_import_cvat(args) -> int:
-    annotations = read_cvat(args.xml)
-    out_root = Path(args.out_dir)
-    out_root.mkdir(parents=True, exist_ok=True)
-    written = set()
-    for ann in annotations:
+    # every image is rescaled and named before anything is written
+    by_stem = {}
+    for ann in read_cvat(args.xml):
         if args.scale_factor != 1.0:
             ann = rescale_annotation(ann, args.scale_factor)
         stem = Path(ann.frame_id).stem
-        if stem in written:
+        if stem in by_stem:
             raise ValidationError(f"two images map to the same file stem {stem!r}")
-        written.add(stem)
+        by_stem[stem] = ann
+    out_root = Path(args.out_dir)
+    out_root.mkdir(parents=True, exist_ok=True)
+    for stem, ann in by_stem.items():
         write_annotation(ann, out_root / f"{stem}.json")
-    print(f"wrote {len(written)} annotations to {out_root}")
+    print(f"wrote {len(by_stem)} annotations to {out_root}")
     return 0
 
 

@@ -40,6 +40,8 @@ _HEADER = struct.Struct("<IIII")  # version, rows, cols, channels
 _PAYLOAD_OFFSET = len(VOLUME_MAGIC) + _HEADER.size
 # cells per float64 leaf of a plane's sums: a quarter of a 288x512 plane
 _LEAF = 36_864
+# cells of a plane searched at a time for the positive ones
+_CHUNK = 8_192
 
 
 @dataclass(frozen=True)
@@ -130,13 +132,13 @@ class HeatmapVolume:
 
 
 def _filled(shape: tuple[int, int, int], checked: Iterable) -> HeatmapVolume:
-    """A volume of shape holding the triples that _checked_planes yields.
+    """A volume of shape holding the planes that _checked_planes yields.
 
     The planes are cast into one fresh float64 array, marked read-only once
     every plane is checked.
     """
     data = np.empty(shape)
-    for channels, plane, _ in checked:
+    for channels, plane, *_ in checked:
         data[channels] = plane
     data.setflags(write=False)
     volume = object.__new__(HeatmapVolume)
@@ -144,33 +146,69 @@ def _filled(shape: tuple[int, int, int], checked: Iterable) -> HeatmapVolume:
     return volume
 
 
+_FLAT, _SINGLE, _OTHER = "flat", "single", "other"
+
+
+def _kind(plane: np.ndarray) -> tuple[np.generic, int, str]:
+    """A plane's minimum, its argmax cell (the first maximum) and its kind.
+
+    _FLAT: every cell holds one value. _SINGLE: one positive cell, zeros in
+    the others. _OTHER: anything else, any plane holding a NaN among them,
+    since a NaN equals nothing.
+    """
+    cells = plane.ravel()
+    minimum = cells.min()
+    cell = int(cells.argmax())
+    if minimum == cells[cell]:
+        return minimum, cell, _FLAT
+    # the maximum cell is above zero, so the plane is single when no other is
+    if (
+        minimum == 0
+        and cells[:cell].max(initial=0) == 0
+        and cells[cell + 1 :].max(initial=0) == 0
+    ):
+        return minimum, cell, _SINGLE
+    return minimum, cell, _OTHER
+
+
 def _checked_planes(
     count: int, planes: Iterable[tuple[int | list[int], np.ndarray]]
-) -> Iterator[tuple[int | list[int], np.ndarray, float]]:
+) -> Iterator[tuple[int | list[int], np.ndarray, np.generic, int, str]]:
     """Validate a volume of count channels one float32 or float64 plane at a time.
 
     Each plane comes with the channel or channels that hold it: it is checked
-    once, as its exact float64 cast, and its sum recorded at each of them, and
-    each clean pair is yielded with the plane's minimum. The errors keep the
-    precedence of a check over the whole volume: a non-finite value in any
-    channel raises NumericError before a negative value in any channel raises
-    ValidationError, which comes before the channel whose sum is furthest from
-    one. Planes after the first negative value are still checked for
-    non-finite values, but no longer yielded.
+    once, the sum of its exact float64 cast is recorded at each of them, and
+    each clean pair is yielded with the plane's _kind triple. The sum of a
+    flat plane is taken once per nonzero value, and that of a single plane is
+    its one positive cell, so neither is cast to float64 again. The errors
+    keep the precedence of a check over the whole volume: a non-finite value
+    in any channel raises NumericError before a negative value in any channel
+    raises ValidationError, which comes before the channel whose sum is
+    furthest from one. Planes after the first negative value are still
+    checked for non-finite values, but no longer yielded.
     """
     sums = np.empty(count)
+    flat_sums = {}  # nonzero value -> sum of a flat plane holding it
     negative = False
     for channels, plane in planes:
+        minimum, cell, kind = _kind(plane)
         # inf + -inf and a sum beyond the float range are reported below
         with np.errstate(invalid="ignore", over="ignore"):
-            sums[channels] = total = _plane_sum(plane)
+            if kind is _SINGLE:
+                total = np.float64(plane.flat[cell])  # zeros add nothing to it
+            elif kind is _FLAT and minimum != 0:  # signed zeros' sum has no one sign
+                if minimum not in flat_sums:
+                    flat_sums[minimum] = _plane_sum(plane)
+                total = flat_sums[minimum]
+            else:
+                total = _plane_sum(plane)
+            sums[channels] = total
         # a finite sum has finite terms; finite terms may still overflow it
         if not math.isfinite(total) and not np.isfinite(plane).all():
             raise NumericError("volume contains non-finite values")
-        minimum = plane.min()
         negative = negative or bool(minimum < 0)
         if not negative:
-            yield channels, plane, minimum
+            yield channels, plane, minimum, cell, kind
     if negative:
         raise ValidationError("volume contains negative values")
     worst = int(np.abs(sums - 1.0).argmax())
@@ -322,10 +360,20 @@ def channel_entropy(channel) -> float:
 
 
 def _positive_entropy(plane: np.ndarray, all_positive: bool) -> float:
-    """channel_entropy of a plane with no negative entry, over its positive cells."""
-    positive = plane if all_positive else plane[plane > 0]
+    """channel_entropy of a plane with no negative entry, over its positive cells.
+
+    Unless every cell is positive, the positive cells are counted, then
+    gathered into each leaf, a _CHUNK of the plane at a time: no mask or copy
+    of the whole plane is made.
+    """
+    cells = plane.ravel()
     # a fresh leaf buffer: none is held while the checks sum the next plane
-    return _entropy(positive, np.empty(min(positive.size, _LEAF)))
+    if all_positive:
+        return _entropy(cells, np.empty(min(cells.size, _LEAF)))
+    chunks = [cells[i : i + _CHUNK] for i in range(0, cells.size, _CHUNK)]
+    size = sum(int(np.count_nonzero(chunk > 0)) for chunk in chunks)
+    pieces = (chunk[chunk > 0] for chunk in chunks)
+    return _gathered_entropy(size, pieces, np.empty(min(size, _LEAF)))
 
 
 def _entropy(plane: np.ndarray, work: np.ndarray) -> float:
@@ -334,16 +382,35 @@ def _entropy(plane: np.ndarray, work: np.ndarray) -> float:
     The float64 terms go into work, a float64 buffer of at least
     min(plane.size, _LEAF) cells, one leaf at a time.
     """
-    cells = plane.ravel()
+    return _gathered_entropy(plane.size, iter((plane.ravel(),)), work)
+
+
+def _gathered_entropy(
+    size: int, pieces: Iterator[np.ndarray], work: np.ndarray
+) -> float:
+    """Entropy in nats of size positive cells, read in order from pieces.
+
+    _pairwise asks for its leaves in order, so each leaf's float64 terms are
+    filled into work from the pieces as they come.
+    """
+    piece = work[:0]
 
     def leaf(start, stop):
+        nonlocal piece
         terms = work[: stop - start]
-        np.copyto(terms, cells[start:stop])
-        np.log(terms, out=terms)
-        terms *= cells[start:stop]
+        filled = 0
+        while filled < terms.size:
+            if not piece.size:
+                piece = next(pieces)
+            part, piece = piece[: terms.size - filled], piece[terms.size - filled :]
+            out = terms[filled : filled + part.size]
+            np.copyto(out, part)
+            np.log(out, out=out)
+            out *= part
+            filled += part.size
         return terms.sum()
 
-    return float(-_pairwise(cells.size, leaf))
+    return float(-_pairwise(size, leaf))
 
 
 @dataclass(frozen=True)
@@ -379,20 +446,20 @@ class ChannelSummary:
 
 
 def _summarize_planes(rows: int, cols: int, checked) -> ChannelSummary:
-    """Summarize (channels, plane, minimum) triples as _checked_planes yields them.
+    """Summarize the planes that _checked_planes yields, each with its _kind.
 
     The planes have one size and may share one buffer.
     """
     flat = {}  # value -> entropy of the flat planes holding it
     entropies, cells = [], []
-    for _, plane, minimum in checked:
-        cell = int(plane.argmax())
-        # a flat plane's argmax is its first cell, so only then test the rest;
+    for _, plane, minimum, cell, kind in checked:
         # a minimum above 0 means every cell is positive
-        if cell == 0 and minimum == plane.flat[0]:
+        if kind is _FLAT:
             if minimum not in flat:
                 flat[minimum] = _positive_entropy(plane, minimum > 0)
             entropies.append(flat[minimum])
+        elif kind is _SINGLE:
+            entropies.append(_positive_entropy(plane.ravel()[cell : cell + 1], True))
         else:
             entropies.append(_positive_entropy(plane, minimum > 0))
         cells.append(cell)
@@ -401,7 +468,7 @@ def _summarize_planes(rows: int, cols: int, checked) -> ChannelSummary:
 
 def summarize(volume: HeatmapVolume) -> ChannelSummary:
     """Each channel's entropy and argmax cell."""
-    planes = ((k, plane, plane.min()) for k, plane in enumerate(volume.data))
+    planes = ((k, plane, *_kind(plane)) for k, plane in enumerate(volume.data))
     return _summarize_planes(volume.rows, volume.cols, planes)
 
 
@@ -443,7 +510,7 @@ def write_volume(volume: HeatmapVolume | PeakPlan, path: str | Path) -> None:
     shape = (volume.rows, volume.cols)
     if isinstance(volume, PeakPlan):
         checked = _checked_planes(volume.channels, volume.planes())
-        pairs = ((channels, plane) for channels, plane, _ in checked)
+        pairs = ((channels, plane) for channels, plane, *_ in checked)
     else:
         pairs = enumerate(volume.data)
     try:
@@ -537,7 +604,9 @@ def read_summary(path: str | Path) -> ChannelSummary:
     """The summary of a volume file, read and validated as read_volume does.
 
     Memory holds one float32 plane and float64 leaves of at most _LEAF cells,
-    never the whole file nor a float64 plane.
+    never the whole file nor a float64 plane. A flat plane whose value an
+    earlier one held and a single plane are not cast to float64 at all, and
+    a plane of zero and positive cells is searched _CHUNK cells at a time.
     """
     with open(path, "rb") as handle:
         shape = _read_header(handle, path)

@@ -139,10 +139,11 @@ class PoolConfig:
             )
         if self.lanes in _BULKHEAD_LANE_COUNTS and not self.bulkhead:
             raise ConfigError(f"{self.lanes} lanes imply a bulkhead")
-        if self.lane_width_m <= 0:
-            raise ConfigError("lane_width_m must be positive")
-        if self.bumper_width_m <= 0:
-            raise ConfigError("bumper_width_m must be positive")
+        for name in ("lane_width_m", "bumper_width_m"):
+            width = getattr(self, name)
+            # not math.isfinite: an int too large for a float is finite too
+            if not 0 < width < math.inf:
+                raise ConfigError(f"{name} must be positive and finite")
         if self.bulkhead_x_m is not None:
             if not self.bulkhead:
                 raise ConfigError("bulkhead_x_m set on a pool without a bulkhead")

@@ -201,6 +201,22 @@ def test_parse_cvat_validation_errors():
 
 
 @pytest.mark.parametrize(
+    "width, height",
+    [("\u0661\u0662\u0668", "72"), ("128", "7_2"), ("128", " 72"), ("+128", "72"),
+     ("128", "\uff17\uff12"), ("1" * 5000, "72")],
+    ids=["arabic-indic", "underscore", "space", "plus-sign", "fullwidth", "too-long"],
+)
+def test_parse_cvat_reads_ascii_digit_sizes_only(width, height):
+    # int() takes each of these; a size must be ASCII digits alone
+    doc = (
+        f'<annotations><image id="0" name="x" width="{width}" height="{height}"/>'
+        "</annotations>"
+    )
+    with pytest.raises(ValidationError, match="must be positive integers"):
+        parse_cvat(doc)
+
+
+@pytest.mark.parametrize(
     "label", ["wall_left_\u00b2", "wall_left_\u0663", "wall_left_\uff13"],
     ids=["superscript-two", "arabic-indic-three", "fullwidth-three"],
 )

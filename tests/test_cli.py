@@ -489,7 +489,7 @@ def test_import_cvat_bad_scale_factor(tmp_path, capsys, factor):
     assert main([*argv, "--out-dir", str(out_dir)]) == 4
     err = capsys.readouterr().err
     assert err.startswith("error: validation: ") and "scale factor" in err
-    assert list(out_dir.iterdir()) == []
+    assert not out_dir.exists()
 
 
 def test_import_cvat_duplicate_stems(tmp_path, capsys):
@@ -499,6 +499,25 @@ def test_import_cvat_duplicate_stems(tmp_path, capsys):
     code = main(["import-cvat", "--xml", str(xml), "--out-dir", str(tmp_path / "o")])
     assert code == 4
     assert "same file stem" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda doc: doc.replace('name="b.png"', 'name="a.jpg"'),
+        lambda doc: doc.replace('height="1080"/>', 'height="7_2"/>'),
+    ],
+    ids=["duplicate-stem", "bad-second-size"],
+)
+@pytest.mark.parametrize("factor", ["1", "3.75"])
+def test_import_cvat_writes_nothing_when_an_image_fails(tmp_path, capsys, edit, factor):
+    xml = tmp_path / "task.xml"
+    xml.write_text(edit(CVAT_DOC))
+    out_dir = tmp_path / "o"
+    argv = ["import-cvat", "--xml", str(xml), "--scale-factor", factor]
+    assert main([*argv, "--out-dir", str(out_dir)]) == 4
+    assert capsys.readouterr().err.startswith("error: validation: ")
+    assert not out_dir.exists()  # not even the first image's annotation
 
 
 @pytest.mark.parametrize(

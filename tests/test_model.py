@@ -220,6 +220,21 @@ def test_config_rules_rejected_with_named_rule():
         PoolConfig(lanes=12, length_m=25, bulkhead=False)
 
 
+@pytest.mark.parametrize("width", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("name", ["lane_width_m", "bumper_width_m"])
+def test_config_widths_must_be_positive_and_finite(name, width):
+    with pytest.raises(ConfigError, match=f"{name} must be positive and finite"):
+        PoolConfig(lanes=8, length_m=50, **{name: width})
+    doc = model_to_dict(build_base_model(PoolConfig(lanes=8, length_m=50)))
+    with pytest.raises(ConfigError, match=name):
+        model_from_dict({**doc, "config": {**doc["config"], name: width}})
+
+
+def test_a_width_too_large_for_a_float_is_compared_not_converted():
+    # math.isfinite would raise OverflowError on this int
+    assert PoolConfig(lanes=8, length_m=50, lane_width_m=10**400).lane_width_m > 0
+
+
 def test_standard_configs_cover_the_nine_pool_types():
     configs = standard_configs()
     assert len(configs) == 9

@@ -31,7 +31,7 @@ from poolkey import (
     write_volume,
 )
 from poolkey import heatmap
-from poolkey.heatmap import read_summary, summarize
+from poolkey.heatmap import PeakPlan, read_summary, summarize
 
 MODEL = build_base_model(PoolConfig(lanes=8, length_m=50))
 NOISY = NoiseParams(loc_sigma_px=1.5, dropout_rate=0.1, false_positive_rate=0.05)
@@ -205,6 +205,45 @@ def test_entropy_runs_once_per_flat_value_and_per_other_channel(tmp_path, monkey
         run()
         # one per delta channel, one for the single flat value, not 96
         assert len(calls) == len(channels) + 1
+
+
+def test_flat_and_single_planes_take_no_float64_pass(tmp_path, monkeypatch):
+    rows, cols = 9, 11
+    channels = (0, 5, 17, 40, 95)  # channel 0's delta sits in the first cell
+    plan = PeakPlan(rows, cols, {k: (k % rows, k % cols, 1.0) for k in channels})
+    volume = plan.volume()
+    path = tmp_path / "target.pkhv"
+    write_volume(plan, path)
+    sums, entropies = [], []
+    plane_sum, positive_entropy = heatmap._plane_sum, heatmap._positive_entropy
+
+    def counted_sum(plane):
+        sums.append(1)
+        return plane_sum(plane)
+
+    def counted_entropy(plane, all_positive):
+        entropies.append(all_positive)
+        return positive_entropy(plane, all_positive)
+
+    monkeypatch.setattr(heatmap, "_plane_sum", counted_sum)
+    monkeypatch.setattr(heatmap, "_positive_entropy", counted_entropy)
+    runs = {
+        "read_summary": lambda: read_summary(path),
+        "summarize": lambda: summarize(volume),
+        "read_volume": lambda: read_volume(path),
+        "HeatmapVolume": lambda: HeatmapVolume(volume.data),
+        "plan.volume": plan.volume,
+        "write_volume": lambda: write_volume(plan, tmp_path / "again.pkhv"),
+    }
+    for name, run in runs.items():
+        sums.clear()
+        entropies.clear()
+        run()
+        # the flat value is summed once, and no delta reaches a float64 pass
+        assert len(sums) == (name != "summarize"), name
+        # nor a plane > 0 mask: the flat value's entropy and one cell per delta
+        summarized = name in ("read_summary", "summarize")
+        assert entropies == [True] * (1 + len(channels)) * summarized, name
 
 
 def test_sweeps_take_summaries_or_volumes(tmp_path):
@@ -527,3 +566,51 @@ def test_full_size_reads_hold_no_float64_plane(full_size_file):
     # one float32 plane and a float64 leaf, below one float64 plane
     assert summary_peak < 2 * plane, summary_peak
     assert volume_peak < volume.data.nbytes + plane + 10**6, volume_peak
+
+
+@pytest.fixture(scope="module")
+def underflowing_file(tmp_path_factory):
+    """A FULL_SHAPE file in which every fifth plane is softmax of N(0, 12) logits.
+
+    float32 holds some cells of those planes as 0 next to positive ones; the
+    other planes are flat and delta planes in turn.
+    """
+    channels, rows, cols = FULL_SHAPE
+    cells = rows * cols
+    rng = np.random.default_rng(12)
+    path = tmp_path_factory.mktemp("underflow") / "underflowing.pkhv"
+    with open(path, "wb") as handle:
+        handle.write(b"PKHV")
+        handle.write(np.array([1, rows, cols, channels], "<u4").tobytes())
+        for k in range(channels):
+            plane = np.full(cells, 1.0 / cells)
+            if k % 5 == 0:
+                logits = rng.normal(0.0, 12.0, cells)
+                plane = np.exp(logits - logits.max())
+                plane /= plane.sum()
+            elif k % 2:
+                plane[:] = 0.0
+                plane[rng.integers(cells)] = 1.0
+            handle.write(plane.astype("<f4").tobytes())
+    return path
+
+
+def test_planes_of_zero_and_positive_cells_hold_no_float64_plane(underflowing_file):
+    f64_plane = FULL_SHAPE[1] * FULL_SHAPE[2] * 8
+    summary = read_summary(underflowing_file)  # also keeps imports out of the peak
+    tracemalloc.start()
+    try:
+        read_summary(underflowing_file)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < f64_plane, peak
+    mixed = 0
+    for k in range(0, FULL_SHAPE[0], 5):
+        plane = _payload_plane(underflowing_file, k).astype(np.float64)
+        positive = plane[plane > 0]
+        mixed += 1 < positive.size < plane.size
+        whole = -(positive * np.log(positive)).sum()
+        assert _bits([summary.entropies[k]]) == _bits([channel_entropy(plane)]), k
+        assert _bits([summary.entropies[k]]) == _bits([whole]), k
+    assert mixed > 0  # the planes this test is about are there
