@@ -49,7 +49,6 @@ from .heatmap import (
 from .homography import RansacParams, localize_frame, localize_result_to_dict
 from .metrics import (
     EvalParams,
-    _gate_pairs,
     beta_sweep,
     evaluate,
     report_to_dict,
@@ -90,14 +89,17 @@ def _workers() -> int:
         return 1
     if not re.fullmatch(r"-?[0-9]+", raw):
         raise ValidationError(f"POOL_THREADS must be an integer, got {raw!r}")
-    value = int(raw)
-    if value < 0:
+    digits = raw.lstrip("-").lstrip("0")
+    if raw.startswith("-") and digits:
         raise ValidationError("POOL_THREADS must be non-negative")
     if hasattr(os, "sched_getaffinity"):
         usable = len(os.sched_getaffinity(0))
     else:
         usable = os.cpu_count() or 1
-    return min(value, usable) if value else usable
+    # more digits than the count is above it; int() refuses over 4,300 digits
+    if not digits or len(digits) > len(str(usable)):
+        return usable
+    return min(int(digits), usable)
 
 
 GRID_MAX_POINTS = 10_000  # the longest --grid a sweep accepts
@@ -215,8 +217,8 @@ def _cmd_loss(args) -> int:
 def _cmd_eval(args) -> int:
     decode_params = DecodeParams(args.beta)
     eval_params = EvalParams(tolerance_px=args.tolerance)
-    frames = _gate_pairs(_load_pairs(args.pred_dir, args.gt_dir), decode_params)
-    report = evaluate(frames, eval_params)
+    frames = _load_pairs(args.pred_dir, args.gt_dir)
+    report = evaluate(frames, eval_params, decode_params)
     if args.out is None:
         _write_json(report_to_dict(report))
     else:

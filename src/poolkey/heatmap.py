@@ -32,6 +32,9 @@ from .model import CHANNEL_COUNT, CHANNEL_IDS, KeyPointId, canonical_channel_ind
 logger = logging.getLogger(__name__)
 
 CHANNEL_SUM_TOLERANCE = 1e-6
+# below any entropy a channel within the sum tolerance t can have: one cell
+# of 1 + t among zeros, -(1 + t) ln(1 + t), is about -t
+ENTROPY_FLOOR = -2 * CHANNEL_SUM_TOLERANCE
 LOG_CLAMP = 1e-12
 
 VOLUME_MAGIC = b"PKHV"
@@ -58,7 +61,7 @@ class Detection(AnnotationPoint):
     entropy: float
 
     def __post_init__(self):
-        if not math.isfinite(self.entropy) or self.entropy < -1e-9:
+        if not math.isfinite(self.entropy) or self.entropy < ENTROPY_FLOOR:
             raise ValidationError(f"{self.kp.label} has invalid entropy")
 
 
@@ -443,6 +446,13 @@ class ChannelSummary:
                 f"decoding requires {CHANNEL_COUNT} channels, volume has "
                 f"{len(self.entropies)}"
             )
+        if self.rows < 1 or self.cols < 1:
+            raise ValidationError("frame needs positive rows and cols")
+        size = self.rows * self.cols
+        if len(self.cells) != CHANNEL_COUNT or not all(
+            0 <= cell < size for cell in self.cells
+        ):
+            raise ValidationError("each channel needs one argmax cell on the grid")
 
 
 def _summarize_planes(rows: int, cols: int, checked) -> ChannelSummary:

@@ -1,16 +1,20 @@
 """Detection quality: tolerance matching, precision/recall/F1, and sweeps.
 
-Matching is channel-wise because each frame carries at most one detection
-and one ground-truth point per key-point identity. It walks the points the
-frame holds, and a truth that no detection met is a miss. A detection
-further than the tolerance from its ground truth is counted as both a false
-positive and a false negative: the detector fired somewhere wrong and still
-missed the real point.
+Matching is channel-wise: a frame carries at most one detection and one
+ground-truth point per key-point identity. A detection further than the
+tolerance from its ground truth is both a false positive and a false
+negative: the detector fired somewhere wrong and still missed the point.
 
-Every frame is gated under its annotation's frame id and matched in one
-pass, which checks the pairing and sorts by frame id. ``evaluate`` builds
-its report from those matches; the sweeps run the same pass at each grid
-point and keep only its mean F1.
+Every score comes from one table per frame, built once from its channel
+summary (or its DetectionSet) and its annotation: per channel, the entropy
+the gate tests and the distance from the cell it fires at to its truth.
+At a threshold beta * ln(rows * cols) and a tolerance, tp counts the fired
+channels with a truth within the tolerance, fp = fired - tp and
+fn = truths - tp. ``evaluate`` also sums each channel's outcome; the sweeps
+count at each grid point and build no DetectionSet there. The errors come
+in this order: the grid, the reads, then (unless the grid is empty) the
+first channel below ``ENTROPY_FLOOR`` in any frame, which the gate refuses,
+then per frame differing paired ids, a repeated id, and a size mismatch.
 """
 
 from __future__ import annotations
@@ -20,16 +24,16 @@ import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from statistics import fmean
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import ShapeError, ValidationError
 from .heatmap import (
+    ENTROPY_FLOOR,
     ChannelSummary,
     DecodeParams,
     DetectionSet,
     FrameAnnotation,
     HeatmapVolume,
-    gate,
     summarize,
 )
 from .model import CHANNEL_IDS, CLASS_ORDER, KeyPointClass, KeyPointId, _write_json
@@ -68,28 +72,109 @@ _MISS = MatchCounts(fn=1)
 _MISPLACED = MatchCounts(fp=1, fn=1)  # fired in the wrong place: both at once
 
 
+class _FrameTable(NamedTuple):
+    """One frame's channels as (key-point, entropy, distance to its truth or None).
+
+    A DetectionSet is gated already: its detections test -inf, which fires
+    at any threshold, and its truths that no detection met NaN, which never
+    does.
+    """
+
+    frame_id: str
+    log_cells: float  # the gate's threshold is beta * log_cells
+    truths: int
+    channels: tuple[tuple[KeyPointId, float, float | None], ...]
+
+
+def _table(frame: DetectionSet | ChannelSummary, gt: FrameAnnotation) -> _FrameTable:
+    """The table of a frame under its annotation, which must have its size."""
+    if (frame.rows, frame.cols) != (gt.rows, gt.cols):
+        raise ShapeError(
+            f"detections are {frame.rows}x{frame.cols} but ground truth is "
+            f"{gt.rows}x{gt.cols}"
+        )
+    if isinstance(frame, DetectionSet):
+        fired = [(d.kp, -math.inf, d.u, d.v) for d in frame.detections]
+    else:  # each channel fires at its argmax cell, as (u=column, v=row)
+        cols = frame.cols
+        fired = [
+            (kp, entropy, float(cell % cols), float(cell // cols))
+            for kp, entropy, cell in zip(CHANNEL_IDS, frame.entropies, frame.cells)
+        ]
+    truths = gt.by_id
+    channels = []
+    for kp, entropy, u, v in fired:
+        g = truths.pop(kp, None)
+        distance = None if g is None else math.hypot(u - g.u, v - g.v)
+        channels.append((kp, entropy, distance))
+    channels += [(kp, math.nan, math.inf) for kp in truths]
+    return _FrameTable(
+        gt.frame_id, math.log(frame.rows * frame.cols), len(gt.points), tuple(channels)
+    )
+
+
+def _tables(
+    frames: Sequence[tuple[DetectionSet | ChannelSummary, FrameAnnotation]],
+) -> list[_FrameTable]:
+    """Each pair's table, sorted by frame id, after the checks of the gate
+    over every frame, then those of matching each pair in turn."""
+    for frame, _ in frames:
+        if isinstance(frame, ChannelSummary):
+            for kp, entropy in zip(CHANNEL_IDS, frame.entropies):
+                # such a channel fires at every beta, and no Detection holds it
+                if entropy < ENTROPY_FLOOR:
+                    raise ValidationError(f"{kp.label} has invalid entropy")
+    seen_ids = set()
+    tables = []
+    for frame, gt in frames:
+        if isinstance(frame, DetectionSet) and frame.frame_id != gt.frame_id:
+            raise ValidationError(
+                f"paired frame ids differ: {frame.frame_id!r} vs {gt.frame_id!r}"
+            )
+        if gt.frame_id in seen_ids:
+            raise ValidationError(f"duplicate frame id {gt.frame_id!r}")
+        seen_ids.add(gt.frame_id)
+        tables.append(_table(frame, gt))
+    tables.sort(key=lambda table: table.frame_id)
+    return tables
+
+
+def _counts(table: _FrameTable, threshold: float, tolerance: float) -> MatchCounts:
+    """A frame's counts with the channels whose entropy is below threshold fired."""
+    fired = tp = 0
+    for _, entropy, distance in table.channels:
+        if entropy < threshold:
+            fired += 1
+            if distance is not None and distance <= tolerance:
+                tp += 1
+    return MatchCounts(tp, fired - tp, table.truths - tp)
+
+
+def _outcomes(
+    table: _FrameTable, threshold: float, tolerance: float
+) -> Iterator[tuple[KeyPointId, MatchCounts]]:
+    """What _counts adds up, per channel that fired or holds a truth."""
+    for kp, entropy, distance in table.channels:
+        if entropy < threshold:
+            if distance is None:
+                yield kp, _FALSE_ALARM
+            else:
+                yield kp, _HIT if distance <= tolerance else _MISPLACED
+        elif distance is not None:
+            yield kp, _MISS
+
+
 def match_frame(
     det: DetectionSet, gt: FrameAnnotation, params: EvalParams
 ) -> FrameMatch:
     """Each detection against its key-point's truth; each truth left is a miss."""
-    if (det.rows, det.cols) != (gt.rows, gt.cols):
-        raise ShapeError(
-            f"detections are {det.rows}x{det.cols} but ground truth is "
-            f"{gt.rows}x{gt.cols}"
-        )
-    truths = gt.by_id
-    per_channel: dict[KeyPointId, MatchCounts] = {}
-    for d in det.detections:
-        g = truths.pop(d.kp, None)
-        if g is None:
-            per_channel[d.kp] = _FALSE_ALARM
-        elif math.hypot(d.u - g.u, d.v - g.v) <= params.tolerance_px:
-            per_channel[d.kp] = _HIT
-        else:
-            per_channel[d.kp] = _MISPLACED
-    per_channel.update(dict.fromkeys(truths, _MISS))
-    total = sum(per_channel.values(), MatchCounts())
-    return FrameMatch(gt.frame_id, total, per_channel)
+    table = _table(det, gt)
+    tolerance = params.tolerance_px
+    return FrameMatch(
+        gt.frame_id,
+        _counts(table, math.inf, tolerance),
+        dict(_outcomes(table, math.inf, tolerance)),
+    )
 
 
 def _ratio(num: int, den: int) -> float:
@@ -143,70 +228,57 @@ def _scope(counts: MatchCounts) -> ScopeScore:
     return ScopeScore(precision(counts), recall(counts), f1(counts), total)
 
 
-def _matches(
-    frames: Iterable[tuple[DetectionSet, FrameAnnotation]], params: EvalParams
-) -> list[FrameMatch]:
-    """Each pair's match, sorted by frame id; the one pass that every score
-    comes from. Pairs must share their frame id, and no id may repeat."""
-    seen_ids = set()
-    matches = []
-    for det, gt in frames:
-        if det.frame_id != gt.frame_id:
-            raise ValidationError(
-                f"paired frame ids differ: {det.frame_id!r} vs {gt.frame_id!r}"
-            )
-        if gt.frame_id in seen_ids:
-            raise ValidationError(f"duplicate frame id {gt.frame_id!r}")
-        seen_ids.add(gt.frame_id)
-        matches.append(match_frame(det, gt, params))
-    matches.sort(key=lambda match: match.frame_id)
-    return matches
+def _summarized(
+    frame: DetectionSet | HeatmapVolume | ChannelSummary,
+) -> DetectionSet | ChannelSummary:
+    return summarize(frame) if isinstance(frame, HeatmapVolume) else frame
 
 
-def _mean_f1(matches: Sequence[FrameMatch]) -> float:
-    return fmean(f1(m.counts) for m in matches) if matches else 0.0
+def _mean_f1(tables: Sequence[_FrameTable], beta: float, tolerance: float) -> float:
+    if not tables:
+        return 0.0
+    return fmean(f1(_counts(t, beta * t.log_cells, tolerance)) for t in tables)
 
 
 def evaluate(
-    frames: Iterable[tuple[DetectionSet, FrameAnnotation]], params: EvalParams
+    frames: Iterable[
+        tuple[DetectionSet | HeatmapVolume | ChannelSummary, FrameAnnotation]
+    ],
+    params: EvalParams,
+    decode: DecodeParams | None = None,
 ) -> EvalReport:
     """Score a collection of frames.
 
-    mean_f1 averages the per-frame F1 values; per-class and per-key-point
-    scores micro-aggregate raw counts across frames before computing the
-    ratios.
+    Each annotation is paired with its DetectionSet, scored as it is, or,
+    given ``decode``, with a HeatmapVolume or ChannelSummary, gated at
+    ``decode.beta``. mean_f1 averages the per-frame F1 values; per-class and
+    per-key-point scores micro-aggregate raw counts across frames before
+    computing the ratios.
     """
-    matches = _matches(frames, params)
-    per_id = {kp: MatchCounts() for kp in CHANNEL_IDS}
-    for match in matches:
-        for kp, counts in match.per_channel.items():
-            per_id[kp] = per_id[kp] + counts
-    per_class_counts = {cls: MatchCounts() for cls in CLASS_ORDER}
+    pairs = [(_summarized(frame), gt) for frame, gt in frames]
+    if decode is None and any(isinstance(f, ChannelSummary) for f, _ in pairs):
+        raise ValidationError("a volume or a summary needs DecodeParams to be gated")
+    beta = 1.0 if decode is None else decode.beta  # any beta fires a DetectionSet
+    tolerance = params.tolerance_px
+    per_frame = []
+    per_id = dict.fromkeys(CHANNEL_IDS, MatchCounts())
+    for table in _tables(pairs):
+        threshold = beta * table.log_cells
+        counts = _counts(table, threshold, tolerance)
+        per_frame.append(
+            FrameScore(table.frame_id, precision(counts), recall(counts), f1(counts))
+        )
+        for kp, outcome in _outcomes(table, threshold, tolerance):
+            per_id[kp] += outcome
+    per_class = dict.fromkeys(CLASS_ORDER, MatchCounts())
     for kp, counts in per_id.items():
-        per_class_counts[kp.cls] = per_class_counts[kp.cls] + counts
+        per_class[kp.cls] += counts
     return EvalReport(
-        per_frame=tuple(
-            FrameScore(m.frame_id, precision(m.counts), recall(m.counts), f1(m.counts))
-            for m in matches
-        ),
-        per_class={cls: _scope(c) for cls, c in per_class_counts.items()},
+        per_frame=tuple(per_frame),
+        per_class={cls: _scope(c) for cls, c in per_class.items()},
         per_keypoint={kp: _scope(c) for kp, c in per_id.items()},
-        mean_f1=_mean_f1(matches),
+        mean_f1=fmean(s.f1 for s in per_frame) if per_frame else 0.0,
     )
-
-
-def _summarized(frame: HeatmapVolume | ChannelSummary) -> ChannelSummary:
-    return frame if isinstance(frame, ChannelSummary) else summarize(frame)
-
-
-def _gate_pairs(
-    frames: Iterable[tuple[HeatmapVolume | ChannelSummary, FrameAnnotation]],
-    params: DecodeParams,
-) -> list[tuple[DetectionSet, FrameAnnotation]]:
-    """Each frame gated under its annotation's frame id, paired with it."""
-    return [
-        (gate(_summarized(frame), params, ann.frame_id), ann) for frame, ann in frames
-    ]
 
 
 def beta_sweep(
@@ -216,19 +288,19 @@ def beta_sweep(
 ) -> list[tuple[float, float]]:
     """mean F1 as a function of the entropy gate strength.
 
-    Each frame is summarized once and gated at every beta. The arguments
-    are checked before the first frame is taken from ``volumes_gt``.
+    Each frame is summarized and tabled once, then counted at every beta.
+    The arguments are checked before the first frame is taken from
+    ``volumes_gt``.
     """
     for beta in betas:
         if not 0.0 <= beta <= 1.0:
             raise ValidationError(f"beta grid value {beta} outside [0, 1]")
-    eval_params = EvalParams(tolerance_px=tolerance_px)
-    summaries = [(_summarized(frame), ann) for frame, ann in volumes_gt]
-    curve = []
-    for beta in betas:
-        pairs = _gate_pairs(summaries, DecodeParams(beta))
-        curve.append((float(beta), _mean_f1(_matches(pairs, eval_params))))
-    return curve
+    tolerance = EvalParams(tolerance_px=tolerance_px).tolerance_px
+    pairs = [(_summarized(frame), ann) for frame, ann in volumes_gt]
+    if not betas:
+        return []
+    tables = _tables(pairs)
+    return [(float(beta), _mean_f1(tables, beta, tolerance)) for beta in betas]
 
 
 def tolerance_sweep(
@@ -245,11 +317,12 @@ def tolerance_sweep(
     for tolerance in tolerances_px:
         if not tolerance > 0:
             raise ValidationError(f"tolerance grid value {tolerance} must be positive")
-    pairs = _gate_pairs(volumes_gt, DecodeParams(beta))
-    return [
-        (float(t), _mean_f1(_matches(pairs, EvalParams(tolerance_px=t))))
-        for t in tolerances_px
-    ]
+    beta = DecodeParams(beta).beta
+    pairs = [(_summarized(frame), ann) for frame, ann in volumes_gt]
+    if not tolerances_px:
+        return []
+    tables = _tables(pairs)
+    return [(float(t), _mean_f1(tables, beta, t)) for t in tolerances_px]
 
 
 def report_to_dict(report: EvalReport) -> dict:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import enum
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -141,9 +142,11 @@ class PoolConfig:
             raise ConfigError(f"{self.lanes} lanes imply a bulkhead")
         for name in ("lane_width_m", "bumper_width_m"):
             width = getattr(self, name)
-            # not math.isfinite: an int too large for a float is finite too
-            if not 0 < width < math.inf:
+            # an int beyond the float range compares below math.inf
+            if not 0 < width <= sys.float_info.max:
                 raise ConfigError(f"{name} must be positive and finite")
+        if not self.width_m <= sys.float_info.max:
+            raise ConfigError("the pool width must be finite")
         if self.bulkhead_x_m is not None:
             if not self.bulkhead:
                 raise ConfigError("bulkhead_x_m set on a pool without a bulkhead")
@@ -165,7 +168,9 @@ class PoolConfig:
     @property
     def width_m(self) -> float:
         bumper = 2.0 * self.bumper_width_m if self.bumpers else 0.0
-        return self.effective_lanes * self.lane_width_m + bumper
+        # in floats: an int width times the lanes may pass the float range,
+        # and adding a float to such an int raises OverflowError
+        return self.effective_lanes * float(self.lane_width_m) + bumper
 
 
 def standard_configs(bumpers: bool = True) -> tuple[PoolConfig, ...]:

@@ -5,17 +5,21 @@ import math
 import os
 import pathlib
 import shutil
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from poolkey import (
+    AnnotationPoint,
     FrameAnnotation,
     HeatmapVolume,
     PoolConfig,
     SynthParams,
     build_base_model,
+    keypoint_for_channel,
     make_scene,
     read_annotation,
     read_detections,
@@ -907,3 +911,71 @@ def test_a_huge_pool_threads_reaches_the_workers_capped(
     assert main(argv) == 0
     capsys.readouterr()
     assert requested == [2, 2]
+
+
+def _just_above_one(path) -> None:
+    """A 96x4x4 volume whose channel 5 is one float32 cell of 1.0000005 among
+    zeros: within the sum tolerance, with an entropy of about -4.77e-7."""
+    data = np.full((96, 4, 4), 1.0 / 16, dtype="<f4")
+    data[5] = 0.0
+    data[5].flat[6] = 1.0000005
+    header = b"".join(v.to_bytes(4, "little") for v in (1, 4, 4, 96))
+    path.write_bytes(b"PKHV" + header + data.tobytes())
+
+
+def test_a_channel_the_reader_accepts_decodes_evaluates_and_sweeps(tmp_path, capsys):
+    volumes, annotations = tmp_path / "v", tmp_path / "a"
+    volumes.mkdir()
+    annotations.mkdir()
+    _just_above_one(volumes / "f.pkhv")
+    kp = keypoint_for_channel(5)
+    truth = (AnnotationPoint(kp, 2.0, 1.0),)
+    write_annotation(FrameAnnotation("f", 4, 4, truth), annotations / "f.json")
+    out = tmp_path / "det.json"
+    argv = ["decode", "--volume", str(volumes / "f.pkhv"), "--beta", "0.5"]
+    assert main([*argv, "--out", str(out)]) == 0
+    (detection,) = read_detections(out).detections
+    assert (detection.kp, detection.u, detection.v) == (kp, 2.0, 1.0)
+    assert -1e-6 < detection.entropy < 0
+    dirs = ["--pred-dir", str(volumes), "--gt-dir", str(annotations)]
+    assert main(["eval", *dirs, "--beta", "0.5"]) == 0
+    assert json.loads(capsys.readouterr().out)["mean_f1"] == 1.0
+    for mode in ("beta", "tolerance"):
+        curve = tmp_path / f"{mode}.csv"
+        argv = ["sweep", "--mode", mode, "--grid", "0.5:1:0.5", *dirs]
+        assert main([*argv, "--out", str(curve)]) == 0
+        assert curve.read_text().splitlines()[1:] == ["0.5,1.0", "1.0,1.0"]
+    assert capsys.readouterr().err == ""
+
+
+def test_a_detection_entropy_below_the_floor_exits_4(workspace, tmp_path, capsys):
+    det = tmp_path / "det.json"
+    volume = workspace / "data" / "volumes" / "scene_0000.pkhv"
+    assert main(["decode", "--volume", str(volume), "--out", str(det)]) == 0
+    doc = json.loads(det.read_text())
+    doc["points"][0]["entropy"] = -1e-3
+    det.write_text(json.dumps(doc))
+    model = str(workspace / "model.json")
+    assert main(["localize", "--detections", str(det), "--model", model]) == 4
+    label = f"{doc['points'][0]['class']}_{doc['points'][0]['index']}"
+    err = capsys.readouterr().err
+    assert err == f"error: validation: {label} has invalid entropy\n"
+
+
+def test_the_cli_imports_no_package_but_numpy():
+    # what import poolkey.cli adds to a bare interpreter, by top-level name
+    probe = (
+        "import sys; bare = set(sys.modules); import poolkey.cli; "
+        "print(' '.join(sorted({m.split('.')[0] for m in set(sys.modules) - bare} "
+        "- set(sys.stdlib_module_names))))"
+    )
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout.split() == ["numpy", "poolkey"]

@@ -230,9 +230,26 @@ def test_config_widths_must_be_positive_and_finite(name, width):
         model_from_dict({**doc, "config": {**doc["config"], name: width}})
 
 
-def test_a_width_too_large_for_a_float_is_compared_not_converted():
-    # math.isfinite would raise OverflowError on this int
-    assert PoolConfig(lanes=8, length_m=50, lane_width_m=10**400).lane_width_m > 0
+@pytest.mark.parametrize("name", ["lane_width_m", "bumper_width_m"])
+def test_a_width_beyond_the_float_range_is_refused(name):
+    # such an int compares below math.inf, and width_m raised OverflowError
+    with pytest.raises(ConfigError, match=f"{name} must be positive and finite"):
+        PoolConfig(lanes=8, length_m=50, **{name: 10**400})
+    doc = model_to_dict(build_base_model(PoolConfig(lanes=8, length_m=50)))
+    with pytest.raises(ConfigError, match=f"{name} must be positive and finite"):
+        model_from_dict({**doc, "config": {**doc["config"], name: 10**400}})
+
+
+@pytest.mark.parametrize("width", [10**308, 1e308])
+@pytest.mark.parametrize("name", ["lane_width_m", "bumper_width_m"])
+def test_a_pool_wider_than_the_float_range_is_refused(name, width):
+    # each width fits a float; the pool's sum of them does not
+    with pytest.raises(ConfigError, match="the pool width must be finite"):
+        PoolConfig(lanes=8, length_m=50, **{name: width})
+    doc = model_to_dict(build_base_model(PoolConfig(lanes=8, length_m=50)))
+    with pytest.raises(ConfigError, match="the pool width must be finite"):
+        model_from_dict({**doc, "config": {**doc["config"], name: width}})
+    assert PoolConfig(lanes=8, length_m=50, **{name: width // 100}).width_m > 0
 
 
 def test_standard_configs_cover_the_nine_pool_types():

@@ -2,9 +2,12 @@
 
 Annotation, detection and model documents, as in-process JSON-like values,
 and CVAT XML with drawn attribute strings. Each reader must return a value
-or raise a PoolError, never another exception.
+or raise a PoolError, never another exception. So must the reader of the
+POOL_THREADS environment variable, whose value is a count of at least one
+and at most the usable CPUs.
 """
 
+import os
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -16,6 +19,7 @@ from hypothesis import strategies as st  # noqa: E402
 from poolkey import (  # noqa: E402
     PoolConfig,
     PoolError,
+    ValidationError,
     annotation_from_dict,
     build_base_model,
     detections_from_dict,
@@ -23,6 +27,7 @@ from poolkey import (  # noqa: E402
     model_to_dict,
     parse_cvat,
 )
+from poolkey import cli  # noqa: E402
 
 EXAMPLES = settings(max_examples=150, deadline=None, database=None)
 
@@ -131,3 +136,34 @@ def test_cvat_documents_give_annotations_or_a_pool_error(images):
         for shape in shapes:
             ET.SubElement(image, "points", shape)
     _read(parse_cvat, ET.tostring(root, encoding="unicode"))
+
+
+# non-ASCII digits, separators, signs, whitespace and strings longer than
+# int() converts (4,300 digits)
+DIGIT_RUNS = st.integers(1, 5_000).map(lambda n: "9" * n) | st.integers(
+    1, 5_000
+).map(lambda n: "0" * n + "2")
+POOL_THREADS = st.lists(
+    st.sampled_from(
+        ["1_0", "-", "+", "\u0663", "\u00b2", "\uff13"]
+        + [" ", "\u00a0", "\u3000", "\t", "0", "7"]
+    )
+    | DIGIT_RUNS
+    | st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\0")),
+    max_size=4,
+).map("".join)
+
+
+@EXAMPLES
+@given(raw=POOL_THREADS, cpus=st.integers(1, 64))
+def test_pool_threads_is_a_usable_count_or_a_validation_error(raw, cpus):
+    # _workers only reads the count: no thread starts at any value
+    with pytest.MonkeyPatch.context() as patch:
+        usable = set(range(cpus))
+        patch.setattr(os, "sched_getaffinity", lambda pid: usable, raising=False)
+        patch.setenv("POOL_THREADS", raw)
+        try:
+            workers = cli._workers()
+        except ValidationError:
+            return
+    assert type(workers) is int and 1 <= workers <= cpus
