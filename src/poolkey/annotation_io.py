@@ -9,11 +9,18 @@ from pathlib import Path
 
 from .errors import FormatError, ValidationError
 from .heatmap import AnnotationPoint, Detection, DetectionSet, FrameAnnotation
-from .model import KeyPointId, _point_id, _read_json, _require, _write_json
+from .model import (
+    KeyPointId,
+    _clipped,
+    _finite,
+    _point_id,
+    _read_json,
+    _require,
+    _write_json,
+)
 
 
 def _value_fields(point_type) -> list[str]:
-    """A point type's fields after its identity, in declaration order."""
     return [f.name for f in fields(point_type) if f.name != "kp"]
 
 
@@ -79,16 +86,16 @@ def read_detections(path: str | Path) -> DetectionSet:
     return detections_from_dict(_read_json(path))
 
 
-def write_detections(dets: DetectionSet, path: str | Path) -> None:
+def write_detections(dets: DetectionSet, path: str | Path | None) -> None:
     _write_json(detections_to_dict(dets), path)
 
 
-def parse_cvat(xml_text: str) -> list[FrameAnnotation]:
-    """Annotations from a "CVAT for images" export.
+def parse_cvat(xml_text: str | bytes) -> list[FrameAnnotation]:
+    """Annotations from a "CVAT for images" export, as text or as file bytes.
 
     Only point shapes are read; boxes, polygons, and tags are skipped. Each
     point shape must carry exactly one coordinate pair and a label of the
-    form "<class>_<index>".
+    form "<class>_<index>". Bytes are decoded as the XML declaration says.
     """
     try:
         root = ET.fromstring(xml_text)
@@ -107,15 +114,15 @@ def parse_cvat(xml_text: str) -> list[FrameAnnotation]:
         try:
             # ASCII digits only: int() also takes other scripts' digits and "_"
             rows, cols = (
-                int(text) if text.isascii() and text.isdigit() else 0
+                _finite(text, int) if text.isascii() and text.isdigit() else 0
                 for text in (height, width)
             )
-        except ValueError:  # more digits than int() converts
+        except ValueError:
             rows = cols = 0
         if rows < 1 or cols < 1:
             raise ValidationError(
-                f"image {name!r}: width {width!r} and height {height!r} must be "
-                "positive integers"
+                f"image {name!r}: width {_clipped(width)!r} and height "
+                f"{_clipped(height)!r} must be positive integers"
             )
         points = []
         seen = set()
@@ -175,7 +182,10 @@ def serialize_cvat(annotations: list[FrameAnnotation]) -> str:
 
 
 def read_cvat(path: str | Path) -> list[FrameAnnotation]:
-    return parse_cvat(Path(path).read_text())
+    try:
+        return parse_cvat(Path(path).read_bytes())
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from None
 
 
 def rescale_annotation(ann: FrameAnnotation, factor: float) -> FrameAnnotation:

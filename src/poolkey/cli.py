@@ -13,6 +13,7 @@ count.
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import math
 import os
@@ -21,12 +22,12 @@ import sys
 from pathlib import Path
 
 from .annotation_io import (
-    detections_to_dict,
     read_annotation,
     read_cvat,
     read_detections,
     rescale_annotation,
     write_annotation,
+    write_detections,
 )
 from .errors import (
     ConfigError,
@@ -62,8 +63,8 @@ from .model import (
     PoolConfig,
     _write_json,
     build_base_model,
-    model_to_dict,
     read_model,
+    write_model,
 )
 from .synth import (
     CameraJitter,
@@ -75,15 +76,12 @@ from .synth import (
 
 
 class _Parser(argparse.ArgumentParser):
-    """Argparse that reports bad usage on one stderr line, exit code 2."""
-
     def error(self, message):
         print(f"error: usage: {message}", file=sys.stderr)
         raise SystemExit(2)
 
 
 def _workers() -> int:
-    """Worker threads from POOL_THREADS, at most the usable CPU count."""
     raw = os.environ.get("POOL_THREADS", "").strip()
     if not raw:
         return 1
@@ -135,7 +133,6 @@ def parse_grid(text: str) -> list[float]:
 
 
 def _pair_files(pred_dir: str, gt_dir: str) -> list[tuple[Path, Path]]:
-    """Match volume files to annotation files by stem."""
     pred_root, gt_root = Path(pred_dir), Path(gt_dir)
     for root in (pred_root, gt_root):
         if not root.is_dir():
@@ -175,8 +172,7 @@ def _cmd_model(args) -> int:
     config = PoolConfig(
         lanes=args.lanes, length_m=args.length, bumpers=args.bumpers, bulkhead=bulkhead
     )
-    model = build_base_model(config)
-    _write_json(model_to_dict(model), args.out)
+    write_model(build_base_model(config), args.out)
     return 0
 
 
@@ -203,7 +199,7 @@ def _cmd_synth(args) -> int:
 def _cmd_decode(args) -> int:
     params = DecodeParams(args.beta)
     detections = gate(read_summary(args.volume), params, Path(args.volume).stem)
-    _write_json(detections_to_dict(detections), args.out)
+    write_detections(detections, args.out)
     return 0
 
 
@@ -368,43 +364,38 @@ def build_parser() -> _Parser:
     return parser
 
 
-_FAILURES: tuple[tuple[type[Exception], int, str], ...] = (
-    (FileNotFoundError, 3, "missing-file"),
-    (NotADirectoryError, 3, "missing-file"),
-    (IsADirectoryError, 3, "missing-file"),
+_FAILURES: tuple[tuple[type | tuple[type, ...], int, str], ...] = (
+    ((FileNotFoundError, NotADirectoryError, IsADirectoryError), 3, "missing-file"),
     (OSError, 3, "io"),
     (FormatError, 5, "format"),
-    (ConfigError, 4, "validation"),
-    (ValidationError, 4, "validation"),
-    (ShapeError, 4, "validation"),
+    ((ConfigError, ValidationError, ShapeError), 4, "validation"),
     (SamplingError, 7, "sampling"),
-    (DegeneracyError, 6, "estimation"),
-    (NoModelError, 6, "estimation"),
-    (ProjectiveError, 6, "estimation"),
-    (NumericError, 6, "estimation"),
+    ((DegeneracyError, NoModelError, ProjectiveError, NumericError), 6, "estimation"),
 )
 
 
 class _StderrLines(logging.Handler):
-    """Each log record as one "<level>: <message>" line on the current stderr."""
-
     def emit(self, record):
         message = record.getMessage().replace("\n", " ")
         print(f"{record.levelname.lower()}: {message}", file=sys.stderr)
 
 
 def _configure_logging() -> None:
-    """Route the library's warnings to stderr lines, once per process."""
     logger = logging.getLogger("poolkey")
     if not any(isinstance(h, _StderrLines) for h in logger.handlers):
         logger.addHandler(_StderrLines(logging.WARNING))
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The parser, built on the first call of the process, not at import."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
     _configure_logging()
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

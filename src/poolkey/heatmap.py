@@ -133,13 +133,12 @@ class HeatmapVolume:
     def channel(self, index: int) -> np.ndarray:
         return self.data[index]
 
+    def planes(self) -> Iterator[tuple[int, np.ndarray]]:
+        """Each channel and its plane, in channel order, as PeakPlan.planes yields."""
+        return enumerate(self.data)
+
 
 def _filled(shape: tuple[int, int, int], checked: Iterable) -> HeatmapVolume:
-    """A volume of shape holding the planes that _checked_planes yields.
-
-    The planes are cast into one fresh float64 array, marked read-only once
-    every plane is checked.
-    """
     data = np.empty(shape)
     for channels, plane, *_ in checked:
         data[channels] = plane
@@ -236,19 +235,39 @@ def _pairwise(size: int, leaf, start: int = 0) -> float:
     return _pairwise(half, leaf, start) + _pairwise(size - half, leaf, start + half)
 
 
-def _plane_sum(plane: np.ndarray) -> float:
-    """plane.sum() of a float64 plane, or of the float64 cast of a float32 one."""
-    if plane.dtype == np.float64:
-        return plane.sum()
-    cells = plane.ravel()
-    work = np.empty(min(cells.size, _LEAF))
+def _leaf_sum(
+    size: int, pieces: Iterator[np.ndarray], work: np.ndarray, entropy: bool = False
+) -> float:
+    """np.sum of the float64 casts of size cells read in order from pieces.
+
+    Each leaf is filled into work, a float64 buffer of at least
+    min(size, _LEAF) cells; with entropy, each cell p is summed as p ln p.
+    """
+    piece = work[:0]
 
     def leaf(start, stop):
-        part = work[: stop - start]
-        np.copyto(part, cells[start:stop])
-        return part.sum()
+        nonlocal piece
+        terms = work[: stop - start]
+        filled = 0
+        while filled < terms.size:
+            if not piece.size:
+                piece = next(pieces)
+            part, piece = piece[: terms.size - filled], piece[terms.size - filled :]
+            out = terms[filled : filled + part.size]
+            np.copyto(out, part)
+            if entropy:
+                np.log(out, out=out)
+                out *= part
+            filled += part.size
+        return terms.sum()
 
-    return _pairwise(cells.size, leaf)
+    return _pairwise(size, leaf)
+
+
+def _plane_sum(plane: np.ndarray) -> float:
+    """The bits of plane.sum() of a C-contiguous plane's float64 cast."""
+    cells = plane.ravel()
+    return _leaf_sum(cells.size, iter((cells,)), np.empty(min(cells.size, _LEAF)))
 
 
 def in_frame(u: float, v: float, rows: int, cols: int) -> bool:
@@ -298,7 +317,8 @@ class PeakPlan(NamedTuple):
         order; the buffer is valid until the next step. The plan is checked
         at the call, before any plane is built: an empty grid is a ShapeError,
         a channel outside [0, channels) a ValidationError and a cell off the
-        grid an OutOfBoundsError.
+        grid an OutOfBoundsError. The planes pass a HeatmapVolume's checks as
+        they are yielded.
         """
         if self.rows < 1 or self.cols < 1:
             raise ShapeError(f"plan grid {self.rows}x{self.cols} is empty")
@@ -307,7 +327,8 @@ class PeakPlan(NamedTuple):
                 raise ValidationError(f"channel {channel} not in [0, {self.channels})")
             if not (0 <= row < self.rows and 0 <= col < self.cols):
                 raise OutOfBoundsError(f"channel {channel} cell {row, col} is off-grid")
-        return self._filled_planes()
+        checked = _checked_planes(self.channels, self._filled_planes())
+        return ((channels, plane) for channels, plane, *_ in checked)
 
     def _filled_planes(self) -> Iterator[tuple[list[int], np.ndarray]]:
         plane = np.empty((self.rows, self.cols))
@@ -321,8 +342,7 @@ class PeakPlan(NamedTuple):
                 yield [channel], plane
 
     def volume(self) -> HeatmapVolume:
-        shape = (self.channels, self.rows, self.cols)
-        return _filled(shape, _checked_planes(self.channels, self.planes()))
+        return _filled((self.channels, self.rows, self.cols), self.planes())
 
 
 def softmax_normalize(raw) -> HeatmapVolume:
@@ -376,44 +396,12 @@ def _positive_entropy(plane: np.ndarray, all_positive: bool) -> float:
     chunks = [cells[i : i + _CHUNK] for i in range(0, cells.size, _CHUNK)]
     size = sum(int(np.count_nonzero(chunk > 0)) for chunk in chunks)
     pieces = (chunk[chunk > 0] for chunk in chunks)
-    return _gathered_entropy(size, pieces, np.empty(min(size, _LEAF)))
+    return float(-_leaf_sum(size, pieces, np.empty(min(size, _LEAF)), entropy=True))
 
 
 def _entropy(plane: np.ndarray, work: np.ndarray) -> float:
-    """Entropy in nats of plane, a channel's positive cells in any shape.
-
-    The float64 terms go into work, a float64 buffer of at least
-    min(plane.size, _LEAF) cells, one leaf at a time.
-    """
-    return _gathered_entropy(plane.size, iter((plane.ravel(),)), work)
-
-
-def _gathered_entropy(
-    size: int, pieces: Iterator[np.ndarray], work: np.ndarray
-) -> float:
-    """Entropy in nats of size positive cells, read in order from pieces.
-
-    _pairwise asks for its leaves in order, so each leaf's float64 terms are
-    filled into work from the pieces as they come.
-    """
-    piece = work[:0]
-
-    def leaf(start, stop):
-        nonlocal piece
-        terms = work[: stop - start]
-        filled = 0
-        while filled < terms.size:
-            if not piece.size:
-                piece = next(pieces)
-            part, piece = piece[: terms.size - filled], piece[terms.size - filled :]
-            out = terms[filled : filled + part.size]
-            np.copyto(out, part)
-            np.log(out, out=out)
-            out *= part
-            filled += part.size
-        return terms.sum()
-
-    return float(-_pairwise(size, leaf))
+    """Entropy in nats of plane, a channel's positive cells in any shape."""
+    return float(-_leaf_sum(plane.size, iter((plane.ravel(),)), work, entropy=True))
 
 
 @dataclass(frozen=True)
@@ -518,11 +506,7 @@ def write_volume(volume: HeatmapVolume | PeakPlan, path: str | Path) -> None:
     A plan is checked as a HeatmapVolume is, and a failed check leaves no file.
     """
     shape = (volume.rows, volume.cols)
-    if isinstance(volume, PeakPlan):
-        checked = _checked_planes(volume.channels, volume.planes())
-        pairs = ((channels, plane) for channels, plane, *_ in checked)
-    else:
-        pairs = enumerate(volume.data)
+    pairs = volume.planes()
     try:
         with open(path, "wb") as handle:
             handle.write(VOLUME_MAGIC)
@@ -579,7 +563,6 @@ def _read_header(handle: BinaryIO, path: str | Path) -> tuple[int, int, int]:
 
 
 def _read_into(handle: BinaryIO, buffer: np.ndarray) -> np.ndarray:
-    """Fill buffer with the next payload bytes; a file that shrank is a format error."""
     if handle.readinto(buffer) != buffer.nbytes:
         raise FormatError("payload ended while being read", offset=handle.tell())
     return buffer
@@ -624,7 +607,6 @@ def read_summary(path: str | Path) -> ChannelSummary:
 
 
 def _cast_planes(pairs, shape, dtype) -> Iterator[tuple]:
-    """Each (channels, plane) pair, the plane cast into a buffer reused each step."""
     out = np.empty(shape, dtype)
     for channels, plane in pairs:
         np.copyto(out, plane)

@@ -44,13 +44,7 @@ class KeyPointClass(enum.Enum):
 
 
 CLASS_ORDER: tuple[KeyPointClass, ...] = tuple(KeyPointClass)
-
-_CLASS_OFFSET: dict[KeyPointClass, int] = {}
-_offset = 0
-for _cls in CLASS_ORDER:
-    _CLASS_OFFSET[_cls] = _offset
-    _offset += _cls.index_count
-CHANNEL_COUNT = _offset
+_CLASSES = {kp_cls.value: kp_cls for kp_cls in CLASS_ORDER}
 
 
 @dataclass(frozen=True)
@@ -74,27 +68,28 @@ class KeyPointId:
 
     @classmethod
     def from_label(cls, label: str) -> KeyPointId:
-        stem, sep, tail = label.rpartition("_")
-        if sep and tail.isascii() and tail.isdigit():
-            for kp_cls in CLASS_ORDER:
-                if kp_cls.value == stem:
-                    try:
-                        return cls(kp_cls, int(tail))
-                    except ValidationError:
-                        raise ValidationError(
-                            f"key-point index out of range in label {label!r}"
-                        ) from None
-        raise ValidationError(f"unknown key-point label: {label!r}")
+        stem, _, tail = label.rpartition("_")
+        kp_cls = _CLASSES.get(stem)
+        if kp_cls and tail.isascii() and tail.isdigit():
+            try:
+                return cls(kp_cls, _finite(tail, int))
+            except (ValueError, ValidationError):
+                raise ValidationError(
+                    f"key-point index out of range in label {_clipped(label)!r}"
+                ) from None
+        raise ValidationError(f"unknown key-point label: {_clipped(label)!r}")
 
 
 CHANNEL_IDS: tuple[KeyPointId, ...] = tuple(
     KeyPointId(c, i) for c in CLASS_ORDER for i in range(c.index_count)
 )
+CHANNEL_COUNT = len(CHANNEL_IDS)
+_CHANNELS = {kp: channel for channel, kp in enumerate(CHANNEL_IDS)}
 
 
 def canonical_channel_index(kp: KeyPointId) -> int:
     """Map a key-point identity to its volume channel in [0, 96)."""
-    return _CLASS_OFFSET[kp.cls] + kp.index
+    return _CHANNELS[kp]
 
 
 def keypoint_for_channel(channel: int) -> KeyPointId:
@@ -328,8 +323,14 @@ def _check_scale(scale_px_per_m: float) -> None:
 def base_pixel_coordinates(
     model: BasePoolModel, scale_px_per_m: float
 ) -> list[tuple[KeyPointId, PixelLocation]]:
-    """Existing key-points in base-image pixels, canonical channel order."""
+    """Existing key-points in base-image pixels, canonical channel order.
+
+    The homography squares pixel distances, so a scale that spans the pool's
+    longer side over more than 1e150 pixels is a ValidationError.
+    """
     _check_scale(scale_px_per_m)
+    if not max(model.basin_length_m, model.width_m) * scale_px_per_m <= 1e150:
+        raise ValidationError("scale_px_per_m spans the pool over more than 1e150 px")
     out = []
     for kp in CHANNEL_IDS:
         entry = model.entries[kp]
@@ -342,7 +343,6 @@ def base_pixel_coordinates(
 
 
 def _set_fields(obj) -> dict:
-    """A dataclass's fields that are not None, in declaration order."""
     return {name: value for name, value in asdict(obj).items() if value is not None}
 
 
@@ -368,7 +368,6 @@ def _require(data: dict, field: str, kind, context: str):
 
 
 def _point_id(entry: dict, context: str) -> KeyPointId:
-    """The key-point an entry's "class" and "index" fields name."""
     label = _require(entry, "class", str, context)
     index = _require(entry, "index", int, context)
     try:
@@ -377,20 +376,24 @@ def _point_id(entry: dict, context: str) -> KeyPointId:
         raise ValidationError(f"{context}: {exc}") from None
 
 
+def _clipped(text: str) -> str:
+    if len(text) > 20:  # a number of 400 digits would fill the error line
+        return f"{text[:20]}... ({sum(map(str.isdigit, text))} digits)"
+    return text
+
+
 def _finite(text: str, parse=float):
+    """parse(text), once text is finite as a float: int() never sees 310 digits."""
     if not math.isfinite(float(text)):
-        if len(text) > 20:  # a number of 400 digits would fill the error line
-            text = f"{text[:20]}... ({sum(map(str.isdigit, text))} digits)"
-        raise ValueError(f"{text} is not a finite float")
+        raise ValueError(f"{_clipped(text)} is not a finite float")
     return parse(text)
 
 
 def _read_json(path: str | Path) -> dict:
-    text = Path(path).read_text()
     try:
         # json reads NaN, Infinity, 1e400 and 10**400; every number must be finite
         data = json.loads(
-            text,
+            Path(path).read_text(encoding="utf-8"),
             parse_constant=_finite,
             parse_float=_finite,
             parse_int=lambda digits: _finite(digits, int),
@@ -403,7 +406,6 @@ def _read_json(path: str | Path) -> dict:
 
 
 def _write_json(doc, path: str | Path | None = None) -> None:
-    """Write doc as JSON indented by two, plus a newline; to stdout without a path."""
     text = json.dumps(doc, indent=2)
     if path is None:
         print(text)
@@ -455,7 +457,7 @@ def model_from_dict(doc: dict) -> BasePoolModel:
     return BasePoolModel(config=config, entries=entries)
 
 
-def write_model(model: BasePoolModel, path: str | Path) -> None:
+def write_model(model: BasePoolModel, path: str | Path | None) -> None:
     _write_json(model_to_dict(model), path)
 
 

@@ -343,7 +343,8 @@ def _synthesize_plan(
         if point is not None:
             if rng.random() < noise.dropout_rate:
                 continue  # dropped key-point: channel stays flat
-            du, dv = rng.normal(0.0, noise.loc_sigma_px, size=2)
+            # abs: numpy refuses a sigma of -0.0, which is a sigma of zero
+            du, dv = rng.normal(0.0, abs(noise.loc_sigma_px), size=2)
             row = nearest_cell(point.v + dv, rows)
             col = nearest_cell(point.u + du, cols)
         elif rng.random() < noise.false_positive_rate:

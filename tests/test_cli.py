@@ -540,6 +540,42 @@ def test_import_cvat_rejects_non_ascii_digit_labels(tmp_path, capsys, label):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("limit", [None, 0], ids=["default-limit", "no-limit"])
+@pytest.mark.parametrize(
+    "edit, quoted",
+    [
+        (lambda doc: doc.replace("wall_left_0", "wall_left_" + "1" * 5000),
+         "in label 'wall_left_1111111111... (5000 digits)'"),
+        (lambda doc: doc.replace('width="1920"', f'width="{"1" * 5000}"', 1),
+         "width '11111111111111111111... (5000 digits)'"),
+    ],
+    ids=["label", "width"],
+)
+def test_a_cvat_number_of_5000_digits_is_one_short_line(
+    tmp_path, capsys, edit, quoted, limit
+):
+    # a number is first read as a float, so no int-string limit is reached
+    if limit is not None and not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no int-string limit")
+    xml = tmp_path / "task.xml"
+    xml.write_text(edit(CVAT_DOC))
+    out_dir = tmp_path / "o"
+    argv = ["import-cvat", "--xml", str(xml), "--out-dir", str(out_dir)]
+    before = sys.get_int_max_str_digits() if limit is not None else None
+    try:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+        code = main(argv)
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(before)
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err.startswith("error: validation: ") and quoted in err, err
+    assert err.count("\n") == 1 and len(err) < 200, err
+    assert not out_dir.exists()
+
+
 def test_pool_threads_env(workspace, capsys, monkeypatch):
     args = [
         "eval",
@@ -784,6 +820,73 @@ def test_unreadable_file_is_one_error_line(workspace, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert err.startswith("error: io: ") and "Permission denied" in err, err
+
+
+@pytest.mark.parametrize(
+    "command, bad",
+    [("synth", "model"), ("localize", "model"), ("localize", "detections"),
+     ("eval", "annotation"), ("import-cvat", "cvat")],
+)
+def test_a_file_that_is_not_utf8_is_one_format_error_line(
+    workspace, tmp_path, capsys, command, bad
+):
+    data = workspace / "data"
+    paths = {
+        "model": str(workspace / "model.json"),
+        "detections": str(tmp_path / "det.json"),
+        "annotation": str(data / "annotations"),
+        "cvat": str(tmp_path / "task.xml"),
+    }
+    volume = str(data / "volumes" / "scene_0000.pkhv")
+    assert main(["decode", "--volume", volume, "--out", paths["detections"]]) == 0
+    if bad == "annotation":
+        paths["annotation"] = str(tmp_path / "annotations")
+        shutil.copytree(data / "annotations", paths["annotation"])
+        path = tmp_path / "annotations" / "scene_0000.json"
+    else:
+        path = tmp_path / f"bad_{bad}"
+        paths[bad] = str(path)
+    # a byte that starts no UTF-8 sequence
+    path.write_bytes(b"<annotations>\xff</annotations>" if bad == "cvat" else
+                     b'{"frame_id": "\xff"}')
+    out = tmp_path / "out"
+    argv = {
+        "synth": ["--model", paths["model"], "--out", str(out)],
+        "localize": ["--detections", paths["detections"], "--model", paths["model"],
+                     "--out", str(out)],
+        "eval": ["--pred-dir", str(data / "volumes"), "--gt-dir", paths["annotation"],
+                 "--out", str(out)],
+        "import-cvat": ["--xml", paths["cvat"], "--out-dir", str(out)],
+    }[command]
+    assert main([command, *argv]) == 5
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: format: ") and path.name in captured.err
+    assert captured.err.count("\n") == 1, captured.err
+    assert captured.out == "" and not out.exists()
+
+
+def test_two_main_calls_build_one_parser_and_print_what_fresh_calls_print(
+    monkeypatch, capsys
+):
+    argvs = (["--help"], ["model", "--lanes", "10"], ["model", "--lanes", "8",
+             "--length", "25"], ["model", "--lanes", "7", "--length", "25"])
+
+    def fresh(argv):
+        cli._parser.cache_clear()
+        return main(argv), capsys.readouterr()
+
+    expected = [fresh(argv) for argv in argvs]
+    built = []
+    build = cli.build_parser
+
+    def counted():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    assert [(main(argv), capsys.readouterr()) for argv in argvs] == expected
+    assert len(built) == 1
 
 
 def _without_kind(doc: dict) -> str:
