@@ -27,7 +27,13 @@ from .errors import (
     ShapeError,
     ValidationError,
 )
-from .model import CHANNEL_COUNT, CHANNEL_IDS, KeyPointId, canonical_channel_index
+from .model import (
+    CHANNEL_COUNT,
+    CHANNEL_IDS,
+    KeyPointId,
+    _clipped,
+    canonical_channel_index,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -86,7 +92,7 @@ class FrameAnnotation:
             if not in_frame(pt.u, pt.v, self.rows, self.cols):
                 raise OutOfBoundsError(
                     f"{pt.kp.label} at (u={pt.u}, v={pt.v}) is outside "
-                    f"{self.rows}x{self.cols}"
+                    f"{_clipped(str(self.rows))}x{_clipped(str(self.cols))}"
                 )
 
     @property

@@ -5,28 +5,29 @@ ordinate, and which one it holds is its kind. Fixed key-points give base
 points (two equations). Floating key-points only know which lane-rope they
 sit on, so they give the rope's ordinate: one equation tying the projected
 y to it.
-Estimation is direct linear transform on Hartley-normalized coordinates;
-RANSAC wraps it for outlier rejection.
+Every fit is one DLT, ``_dlt``: Hartley-normalized sets packed into a
+zero-padded design stack and solved by one batched SVD. ``estimate_dlt``
+fits a set of one; RANSAC wraps it for outlier rejection.
 
 RANSAC draws up to ``iterations`` times. Each draw is one
 ``rng.permutation(n)``, taken in seed order, and its minimal sample is the
-shortest prefix reaching eight equations. Draws are handled in blocks of
-``RANSAC_BLOCK``: the samples are normalized and packed as ``estimate_dlt``
-packs them, into one zero-padded (block, 9, 9) stack solved by one batched
-SVD, and every hypothesis is scored in one (block, n) residual array.
-``estimate_dlt``'s rank test and ``Homography``'s finiteness and
-determinant tests apply per hypothesis. The most inliers win, then the
-smaller inlier residual sum, then the earlier draw, within a block and
-across blocks. A consensus of exactly eight equations sums to 0.0: it is
-its own minimal sample, fit exactly, and the batched and the scalar fits
-round its true sum of 0 apart. Only the winning consensus mask leaves the
-kernel: it is re-fit with the scalar ``estimate_dlt``, whose arithmetic
-fixes the output bytes, and the batched fits therefore never need to match
-the scalar ones bit for bit. The run stops after the block of the first draw
-whose consensus is every correspondence, which a later draw can only tie
-with the same mask; a non-finite hypothesis in a later block then raises no
-``NumericError``. The kernel works row by row, so no output depends on
-``RANSAC_BLOCK``.
+shortest prefix reaching eight equations. ``_fit_block`` fits
+``RANSAC_BLOCK`` draws in one (block, 9, 9) stack, and every hypothesis is
+scored in one (block, n) residual array. The rank test and
+``Homography``'s finiteness and determinant tests apply per hypothesis.
+The most inliers win, then the smaller inlier residual sum, then the
+earlier draw, within a block and across blocks. A consensus of exactly
+eight equations sums to 0.0: it is its own minimal sample, fit exactly,
+and two fits of it round its true sum of 0 apart. A hypothesis need not
+equal ``estimate_dlt`` of its sample bit for bit: an eight-equation sample
+gets a ninth zero row, and the normalizers sum over the padded sample with
+line rows (base side) and rows past the sample as zeros, which groups
+numpy's pairwise sum another way. Only the winning consensus mask leaves
+the kernel, and ``estimate_dlt``'s re-fit of it fixes the output bytes.
+The run stops after the block of the first draw whose consensus is every
+correspondence, which a later draw can only tie with the same mask; a
+non-finite hypothesis in a later block then raises no ``NumericError``.
+The kernel works row by row, so no output depends on ``RANSAC_BLOCK``.
 """
 
 from __future__ import annotations
@@ -142,20 +143,6 @@ class Correspondence:
         return cls(tuple(image), base_y=float(base_y))
 
 
-def _similarity(points: np.ndarray) -> np.ndarray:
-    """Hartley normalizer: centroid to origin, mean distance sqrt(2)."""
-    centroid = points.mean(axis=0)
-    spread = float(np.sqrt(((points - centroid) ** 2).sum(axis=1)).mean())
-    scale = math.sqrt(2.0) / spread if spread > 1e-12 else 1.0
-    return np.array(
-        [
-            [scale, 0.0, -scale * centroid[0]],
-            [0.0, scale, -scale * centroid[1]],
-            [0.0, 0.0, 1.0],
-        ]
-    )
-
-
 def _require_equations(
     corrs: Sequence[Correspondence],
     message: str = "need at least {required} equations, have {equations} "
@@ -181,33 +168,20 @@ def estimate_dlt(corrs: Sequence[Correspondence]) -> Homography:
     """
     corrs = tuple(corrs)
     _require_equations(corrs)
-    image = np.array([c.image for c in corrs])
-    t_image = _similarity(image)
-    fixed = np.array([c.base_point for c in corrs if c.base_point is not None])
-    t_base = _similarity(fixed) if len(fixed) else np.eye(3)
-    base_scale = t_base[0, 0]
-    base_ty = t_base[1, 2]
-
-    rows = []
-    normalized = image @ t_image[:2, :2].T + t_image[:2, 2]
-    for c, (u, v) in zip(corrs, normalized):
-        if c.base_point is not None:
-            x = base_scale * c.base_point[0] + t_base[0, 2]
-            y = base_scale * c.base_point[1] + base_ty
-            rows.append([u, v, 1.0, 0.0, 0.0, 0.0, -x * u, -x * v, -x])
-        else:
-            y = base_scale * c.base_y + base_ty
-        rows.append([0.0, 0.0, 0.0, u, v, 1.0, -y * u, -y * v, -y])
-    a = np.array(rows)
-    _, singular, vt = np.linalg.svd(a)
-    if singular[0] <= 0 or singular[7] / singular[0] < _RANK_TOLERANCE:
+    image, base = _constraint_arrays(corrs)
+    equations = np.array([c.equations for c in corrs])
+    member = np.ones((1, len(corrs)), dtype=bool)
+    fixed = base[None, equations == 2]
+    base_norm = _batch_similarity(fixed, np.ones(fixed.shape[:2], dtype=bool))
+    h, rank_deficient = _dlt(
+        image[None], base[None], equations[None], member, base_norm, equations.sum()
+    )
+    if rank_deficient[0]:
         raise DegeneracyError(
             "constraint system is rank-deficient; the key-point configuration "
             "does not determine a homography"
         )
-    h_normalized = vt[-1].reshape(3, 3)
-    h = np.linalg.inv(t_base) @ h_normalized @ t_image
-    return Homography(h)
+    return Homography(h[0])
 
 
 def residuals(h: Homography, corrs: Sequence[Correspondence]) -> np.ndarray:
@@ -266,12 +240,9 @@ class RansacFit:
 def _batch_similarity(
     points: np.ndarray, member: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``_similarity`` of each row's member points, as (scale, shift).
-
-    ``points`` is (k, m, 2) and ``member`` (k, m); a row without members
-    gets the identity, as a sample without fixed points does in
-    ``estimate_dlt``.
-    """
+    """Hartley normalizer (centroid to origin, mean distance sqrt(2)) of each
+    row's member points, as (scale, shift): ``points`` is (k, m, 2), ``member``
+    (k, m), and a row without members gets the identity."""
     count = np.maximum(member.sum(axis=1), 1)
     centroid = np.where(member[..., None], points, 0.0).sum(axis=1) / count[:, None]
     distance = np.sqrt(((points - centroid[:, None]) ** 2).sum(axis=2))
@@ -291,17 +262,63 @@ def _similarity_stack(scale: np.ndarray, shift: np.ndarray) -> np.ndarray:
 def _constraint_arrays(
     corrs: Sequence[Correspondence],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Image points (n, 2) and base points (n, 2) of the correspondences.
-
-    Column 1 of the base array is the base ordinate of either kind; lines
-    leave column 0 at zero.
-    """
+    """Image points (n, 2) and base points (n, 2) of the correspondences; a
+    line's base point is (0, its base ordinate)."""
     image = np.array([c.image for c in corrs], dtype=np.float64)
     base = np.array(
         [c.base_point if c.base_point is not None else (0.0, c.base_y) for c in corrs],
         dtype=np.float64,
     )
     return image, base
+
+
+def _dlt(
+    image: np.ndarray,
+    base: np.ndarray,
+    equations: np.ndarray,
+    member: np.ndarray,
+    base_norm: tuple[np.ndarray, np.ndarray],
+    height: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """DLT fits of k correspondence sets, their member rows, in one SVD.
+
+    ``image`` and ``base`` are (k, m, 2), ``equations`` and ``member`` (k, m).
+    Image points are normalized by ``_batch_similarity``, base ones by the
+    (scale, shift) pair ``base_norm``. A point packs an x then a y row, a
+    line a y row, into a zero-padded (k, height, 9) stack. Returns the
+    de-normalized maps (k, 3, 3) and the rank-deficient mask.
+    """
+    image_scale, image_shift = _batch_similarity(image, member)
+    base_scale, base_shift = base_norm
+    uv = image_scale[:, None, None] * image + image_shift[:, None]
+    xy = base_scale[:, None, None] * base + base_shift[:, None]
+    rows = np.where(member, equations, 0)
+    first_row = np.cumsum(rows, axis=1) - rows
+    design = np.zeros((len(image), height, 9))
+    b, s = np.nonzero(member)
+    uv1 = np.concatenate([uv[b, s], np.ones((len(b), 1))], axis=1)
+    point = equations[b, s] == 2
+    x_row = first_row[b, s][point]
+    design[b[point], x_row, 0:3] = uv1[point]
+    design[b[point], x_row, 6:9] = -xy[b, s, :1][point] * uv1[point]
+    y_row = first_row[b, s] + rows[b, s] - 1
+    design[b, y_row, 3:6] = uv1
+    design[b, y_row, 6:9] = -xy[b, s, 1:] * uv1
+
+    _, singular, vt = np.linalg.svd(design)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rank_deficient = (singular[:, 0] <= 0) | (
+            singular[:, 7] / singular[:, 0] < _RANK_TOLERANCE
+        )
+    # a zero base scale (its spread overflowed) leaves the set rank-deficient,
+    # and inv must not fail on it
+    base_scale = np.where(base_scale > 0, base_scale, 1.0)
+    h = (
+        np.linalg.inv(_similarity_stack(base_scale, base_shift))
+        @ vt[:, -1].reshape(-1, 3, 3)
+        @ _similarity_stack(image_scale, image_shift)
+    )
+    return h, rank_deficient
 
 
 def _fit_block(
@@ -314,42 +331,14 @@ def _fit_block(
     """Exact DLT fits of a block of minimal samples in one batched SVD.
 
     ``sample`` (k, m) holds permutation prefixes and ``size`` (k,) how many
-    of each prefix form the sample. Each sample is normalized and packed
-    as ``estimate_dlt`` does into a zero-padded (k, 9, 9) design stack.
-    Returns the unit-norm maps (k, 3, 3) and a mask of the hypotheses that
-    fail the rank or the determinant test.
+    of each prefix form the sample, one (9, 9) system each. Returns the
+    unit-norm maps (k, 3, 3) and a mask of the hypotheses that fail the rank
+    or the determinant test.
     """
     member = np.arange(sample.shape[1]) < size[:, None]
-    fixed = member & (equations[sample] == 2)
-    image_scale, image_shift = _batch_similarity(image[sample], member)
-    base_scale, base_shift = _batch_similarity(base[sample], fixed)
-    u = image_scale[:, None] * image[sample, 0] + image_shift[:, :1]
-    v = image_scale[:, None] * image[sample, 1] + image_shift[:, 1:]
-    x = base_scale[:, None] * base[sample, 0] + base_shift[:, :1]
-    y = base_scale[:, None] * base[sample, 1] + base_shift[:, 1:]
-    # a point fills two consecutive rows (x, then y), a line one (y)
-    rows = np.where(member, equations[sample], 0)
-    first_row = np.cumsum(rows, axis=1) - rows
-    design = np.zeros((len(sample), MIN_EQUATIONS + 1, 9))
-    b, s = np.nonzero(member)
-    uv1 = np.stack([u[b, s], v[b, s], np.ones(len(b))], axis=1)
-    point = fixed[b, s]
-    x_row = first_row[b, s][point]
-    design[b[point], x_row, 0:3] = uv1[point]
-    design[b[point], x_row, 6:9] = -x[b, s][point, None] * uv1[point]
-    y_row = first_row[b, s] + rows[b, s] - 1
-    design[b, y_row, 3:6] = uv1
-    design[b, y_row, 6:9] = -y[b, s][:, None] * uv1
-
-    _, singular, vt = np.linalg.svd(design)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rank_deficient = (singular[:, 0] <= 0) | (
-            singular[:, 7] / singular[:, 0] < _RANK_TOLERANCE
-        )
-    h = (
-        np.linalg.inv(_similarity_stack(base_scale, base_shift))
-        @ vt[:, -1].reshape(-1, 3, 3)
-        @ _similarity_stack(image_scale, image_shift)
+    base_norm = _batch_similarity(base[sample], member & (equations[sample] == 2))
+    h, rank_deficient = _dlt(
+        image[sample], base[sample], equations[sample], member, base_norm, 9
     )
     if not np.isfinite(h[~rank_deficient]).all():
         raise NumericError("homography contains non-finite entries")
@@ -452,12 +441,15 @@ def build_correspondences(
     Fixed key-points become point correspondences in base pixels; floating
     key-points constrain only the base ordinate of their lane-rope.
     Detections whose key-point does not exist in this pool configuration
-    have no base geometry and are reported back as skipped.
+    have no base geometry and are reported back as skipped. The homography
+    squares coordinates: a detection beyond 1e150 px is a ValidationError.
     """
     pixels = dict(base_pixel_coordinates(model, scale_px_per_m))
     correspondences: list[Correspondence] = []
     skipped: list[KeyPointId] = []
     for d in det.detections:
+        if not max(abs(d.u), abs(d.v)) <= 1e150:
+            raise ValidationError(f"{d.kp.label} lies beyond 1e150 px")
         location = pixels.get(d.kp)
         if location is None:
             skipped.append(d.kp)

@@ -1082,3 +1082,49 @@ def test_the_cli_imports_no_package_but_numpy():
         check=True,
     )
     assert done.stdout.split() == ["numpy", "poolkey"]
+
+
+def _scaled_points(doc: dict, factor: float) -> str:
+    """doc with every point's u and v times factor in a 10**301-pixel frame."""
+    points = [dict(p, u=p["u"] * factor, v=p["v"] * factor) for p in doc["points"]]
+    return json.dumps(dict(doc, rows=10**301, cols=10**301, points=points))
+
+
+def test_a_detection_beyond_1e150_px_is_one_validation_line(
+    workspace, tmp_path, capsys
+):
+    # the homography squares image coordinates; past about 1e154 px numpy
+    # printed overflow warnings before the estimation error
+    det = tmp_path / "det.json"
+    volume = workspace / "data" / "volumes" / "scene_0000.pkhv"
+    assert main(["decode", "--volume", str(volume), "--out", str(det)]) == 0
+    doc = json.loads(det.read_text())
+    det.write_text(_scaled_points(doc, 1e160))
+    model = str(workspace / "model.json")
+    capsys.readouterr()
+    assert main(["localize", "--detections", str(det), "--model", model]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: validation: ") and "beyond 1e150 px" in err, err
+    assert err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("command", ["localize", "eval"])
+def test_a_point_outside_a_frame_of_301_digits_is_one_short_line(
+    workspace, tmp_path, capsys, command
+):
+    data = workspace / "data"
+    if command == "localize":
+        path = tmp_path / "det.json"
+        volume = data / "volumes" / "scene_0000.pkhv"
+        assert main(["decode", "--volume", str(volume), "--out", str(path)]) == 0
+        argv = ["--detections", str(path), "--model", str(workspace / "model.json")]
+    else:
+        shutil.copytree(data / "annotations", tmp_path / "gt")
+        path = tmp_path / "gt" / "scene_0000.json"
+        argv = ["--pred-dir", str(data / "volumes"), "--gt-dir", str(tmp_path / "gt")]
+    path.write_text(_scaled_points(json.loads(path.read_text()), 1e300))
+    capsys.readouterr()
+    assert main([command, *argv]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: validation: ") and "(302 digits)" in err, err
+    assert err.count("\n") == 1 and len(err) < 200, err

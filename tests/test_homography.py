@@ -35,6 +35,7 @@ from poolkey.homography import (
     RANSAC_BLOCK,
     _constraint_arrays,
     _fit_block,
+    _require_equations,
     _score_block,
     fit_ransac,
 )
@@ -185,6 +186,21 @@ def test_dlt_coincident_points_are_degenerate():
         estimate_dlt(corrs)
 
 
+@pytest.mark.parametrize("side", ["image", "base"])
+def test_dlt_coordinates_whose_spread_overflows_are_degenerate(side):
+    # the normalizer's squared distances overflow to inf, its scale to 0, and
+    # every point of that side normalizes to the origin
+    corrs = []
+    for i in range(6):
+        near, far = (float(i), float(i * i % 7)), (1e160 * i, 3.0 * i)
+        image, base = (far, near) if side == "image" else (near, far)
+        corrs.append(Correspondence.point(image, base))
+    for fit in (estimate_dlt, _reference_dlt):
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            with pytest.raises(DegeneracyError, match="rank-deficient"):
+                fit(corrs)
+
+
 def test_dlt_similarity_invariance_with_noisy_data():
     """Hartley normalization makes the estimate independent of the image
     frame's similarity placement, even when the fit is not exact."""
@@ -279,9 +295,58 @@ def test_ransac_line_only_constraints_cannot_form_a_model():
         estimate_ransac(corrs, RansacParams(iterations=20, seed=1))
 
 
+def _reference_similarity(points: np.ndarray) -> np.ndarray:
+    """Hartley normalizer: centroid to origin, mean distance sqrt(2)."""
+    centroid = points.mean(axis=0)
+    spread = float(np.sqrt(((points - centroid) ** 2).sum(axis=1)).mean())
+    scale = math.sqrt(2.0) / spread if spread > 1e-12 else 1.0
+    return np.array(
+        [
+            [scale, 0.0, -scale * centroid[0]],
+            [0.0, scale, -scale * centroid[1]],
+            [0.0, 0.0, 1.0],
+        ]
+    )
+
+
+def _reference_dlt(corrs):
+    """The scalar DLT that ``estimate_dlt`` replaced: one design row per
+    equation, built in a loop, and one 2-D SVD. ``estimate_dlt`` must give
+    its map bit for bit, or raise its error."""
+    corrs = tuple(corrs)
+    _require_equations(corrs)
+    image = np.array([c.image for c in corrs])
+    t_image = _reference_similarity(image)
+    fixed = np.array([c.base_point for c in corrs if c.base_point is not None])
+    t_base = _reference_similarity(fixed) if len(fixed) else np.eye(3)
+    base_scale = t_base[0, 0]
+    base_ty = t_base[1, 2]
+
+    rows = []
+    normalized = image @ t_image[:2, :2].T + t_image[:2, 2]
+    for c, (u, v) in zip(corrs, normalized):
+        if c.base_point is not None:
+            x = base_scale * c.base_point[0] + t_base[0, 2]
+            y = base_scale * c.base_point[1] + base_ty
+            rows.append([u, v, 1.0, 0.0, 0.0, 0.0, -x * u, -x * v, -x])
+        else:
+            y = base_scale * c.base_y + base_ty
+        rows.append([0.0, 0.0, 0.0, u, v, 1.0, -y * u, -y * v, -y])
+    a = np.array(rows)
+    _, singular, vt = np.linalg.svd(a)
+    if singular[0] <= 0 or singular[7] / singular[0] < 1e-8:
+        raise DegeneracyError(
+            "constraint system is rank-deficient; the key-point configuration "
+            "does not determine a homography"
+        )
+    h_normalized = vt[-1].reshape(3, 3)
+    h = np.linalg.inv(t_base) @ h_normalized @ t_image
+    return Homography(h)
+
+
 def _reference_ransac(corrs, params):
     """The per-draw RANSAC loop that the block kernel replaced: one
-    ``estimate_dlt`` and one ``residuals`` call per draw, stopping at the
+    ``_reference_dlt`` and one ``residuals`` call per draw, stopping at the
     first draw whose consensus is every correspondence. Returns the estimate,
     its inlier mask, the draws made, the degenerate draws and the consensus
     size."""
@@ -296,7 +361,7 @@ def _reference_ransac(corrs, params):
         cumulative = np.cumsum(equations[order])
         sample = order[: int(np.searchsorted(cumulative, MIN_EQUATIONS) + 1)]
         try:
-            candidate = estimate_dlt([corrs[i] for i in sample])
+            candidate = _reference_dlt([corrs[i] for i in sample])
         except (DegeneracyError, InsufficientConstraintsError):
             degenerate += 1
             continue
@@ -316,7 +381,7 @@ def _reference_ransac(corrs, params):
     if best_mask is None:
         raise NoModelError("no usable consensus")
     try:
-        final = estimate_dlt([c for c, keep in zip(corrs, best_mask) if keep])
+        final = _reference_dlt([c for c, keep in zip(corrs, best_mask) if keep])
     except (DegeneracyError, InsufficientConstraintsError) as exc:
         raise NoModelError("consensus set could not be re-estimated") from exc
     mask = residuals(final, corrs) <= params.inlier_threshold_px
@@ -387,9 +452,9 @@ def test_one_permuted_block_draws_one_permutation_per_row(n, draws):
 
 @pytest.mark.parametrize("line_share", [0.0, 0.4], ids=["points", "points-lines"])
 def test_block_hypotheses_match_per_sample_fits(line_share):
-    # the batched SVD and the masked normalizers sum in another order than
-    # estimate_dlt, so the unit-norm maps and the residuals may differ in the
-    # last digits only
+    # the ninth zero row and the normalizers over padded and masked rows sum
+    # in another order than the scalar DLT, so the unit-norm maps and the
+    # residuals may differ in the last digits only
     for seed in range(4):
         corrs = _mixed_set(seed, 0.3, line_share)
         equations = np.array([c.equations for c in corrs])
@@ -404,7 +469,7 @@ def test_block_hypotheses_match_per_sample_fits(line_share):
         r = _score_block(h, image, base, equations == 2)
         for j, row in enumerate(sample):
             try:
-                expected = estimate_dlt([corrs[i] for i in row[: size[j]]])
+                expected = _reference_dlt([corrs[i] for i in row[: size[j]]])
             except DegeneracyError:
                 assert degenerate[j]
                 continue

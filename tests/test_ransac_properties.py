@@ -1,9 +1,12 @@
-"""Property tests: the block RANSAC kernel against the per-draw loop.
+"""Property tests: the block RANSAC kernel against the per-draw loop, and
+``estimate_dlt`` against the scalar DLT.
 
 Over drawn sets, budgets and seeds, ``fit_ransac`` must give the per-draw
 reference's statistics exactly, the stop at the first full consensus
 included, and its map and mask bit for bit. Both score a consensus of
 exactly eight equations 0.0, so no rounding of its residuals breaks a tie.
+``estimate_dlt`` must give the scalar reference's map bit for bit, or its
+error type and message.
 """
 
 import numpy as np
@@ -12,14 +15,21 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
-from test_homography import _mixed_set, _reference_ransac  # noqa: E402
+from test_homography import (  # noqa: E402
+    _mixed_set,
+    _reference_dlt,
+    _reference_ransac,
+)
 
 from poolkey import (  # noqa: E402
+    Correspondence,
     NoModelError,
     PoolConfig,
     RansacParams,
     build_base_model,
+    PoolError,
     build_correspondences,
+    estimate_dlt,
     perfect_detections,
 )
 from poolkey.homography import fit_ransac  # noqa: E402
@@ -79,3 +89,49 @@ def test_a_clean_frame_stops_before_the_budget(view, seed):
     assert fit.inlier_mask.all()
     assert fit.consensus_size == len(corrs)
     assert fit.draws < params.iterations
+
+
+def _dlt_outcome(fit, corrs):
+    """The map's bytes, or the type and message of the error raised."""
+    try:
+        return fit(corrs).matrix.tobytes()
+    except PoolError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    n=st.integers(4, 60),
+    line_share=st.sampled_from([0.0, 0.2, 0.5, 0.7, 0.9]),
+    extent=st.sampled_from([2.0, 30.0, 500.0, 1e4]),
+    rounded_share=st.sampled_from([0.0, 0.5, 1.0]),
+    degenerate=st.sampled_from([None, None, None, "collinear", "coincident", "lines"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_estimate_dlt_is_the_scalar_dlt_bit_for_bit(
+    n, line_share, extent, rounded_share, degenerate, seed
+):
+    # the base normalizer sums over the fixed points alone: summed over
+    # every row with the line rows as zeros, numpy groups its pairwise sum
+    # another way and the map moves in the last bits
+    rng = np.random.default_rng(seed)
+    coords = rng.uniform(1.0, extent, size=(n, 4))
+    rounded = rng.random(n) < rounded_share
+    coords[rounded] = np.round(coords[rounded])
+    # four fixed points, unless the set is to be rank-deficient
+    is_line = (rng.random(n) < line_share) & (np.arange(n) >= 4)
+    if degenerate == "collinear":
+        coords[:, 1] = 0.5 * coords[:, 0] + 1.0
+    elif degenerate == "coincident":
+        coords[1:] = coords[0]
+    elif degenerate == "lines":
+        is_line[2:] = True
+    corrs = []
+    for (u, v, x, y), line, whole in zip(coords.tolist(), is_line, rounded):
+        if whole:  # Python ints, as a JSON file may hold
+            u, v, x, y = int(u), int(v), int(x), int(y)
+        if line:
+            corrs.append(Correspondence.on_line((u, v), y))
+        else:
+            corrs.append(Correspondence.point((u, v), (x, y)))
+    assert _dlt_outcome(estimate_dlt, corrs) == _dlt_outcome(_reference_dlt, corrs)
