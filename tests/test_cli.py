@@ -1093,8 +1093,8 @@ def _scaled_points(doc: dict, factor: float) -> str:
 def test_a_detection_beyond_1e150_px_is_one_validation_line(
     workspace, tmp_path, capsys
 ):
-    # the homography squares image coordinates; past about 1e154 px numpy
-    # printed overflow warnings before the estimation error
+    # the homography squares image coordinates, which overflows past about
+    # 1e154 px; the bound leaves a margin, as the base-pixel bound does
     det = tmp_path / "det.json"
     volume = workspace / "data" / "volumes" / "scene_0000.pkhv"
     assert main(["decode", "--volume", str(volume), "--out", str(det)]) == 0

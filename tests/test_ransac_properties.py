@@ -25,9 +25,9 @@ from poolkey import (  # noqa: E402
     Correspondence,
     NoModelError,
     PoolConfig,
+    PoolError,
     RansacParams,
     build_base_model,
-    PoolError,
     build_correspondences,
     estimate_dlt,
     perfect_detections,
