@@ -6,8 +6,9 @@ points (two equations). Floating key-points only know which lane-rope they
 sit on, so they give the rope's ordinate: one equation tying the projected
 y to it.
 Every fit is one DLT, ``_dlt``: Hartley-normalized sets packed into a
-zero-padded design stack and solved by one batched SVD. ``estimate_dlt``
-fits a set of one; RANSAC wraps it for outlier rejection.
+zero-padded design stack, whose null vectors are the maps. ``estimate_dlt``
+fits a set of one by the SVD, whose bits are the output; RANSAC wraps it
+for outlier rejection.
 
 RANSAC draws up to ``iterations`` times. Each draw is one
 ``rng.permutation(n)``, taken in seed order, and its minimal sample is the
@@ -15,15 +16,21 @@ shortest prefix reaching eight equations. ``_fit_block`` fits
 ``RANSAC_BLOCK`` draws in one (block, 9, 9) stack, and every hypothesis is
 scored in one (block, n) residual array. The rank test and
 ``Homography``'s finiteness and determinant tests apply per hypothesis.
+Most samples hold exactly eight equations, whose null vector is exact:
+``_minimal_null_vectors`` finds it by QR and back substitution wherever a
+QR certificate proves the SVD's rank decision, and leaves the rest, and
+every nine-equation sample, to the SVD. So every rank decision, and with
+it ``draws`` and ``degenerate_draws``, is the SVD's.
 The most inliers win, then the smaller inlier residual sum, then the
 earlier draw, within a block and across blocks. A consensus of exactly
 eight equations sums to 0.0: it is its own minimal sample, fit exactly,
 and two fits of it round its true sum of 0 apart. A hypothesis need not
 equal ``estimate_dlt`` of its sample bit for bit: an eight-equation sample
-gets a ninth zero row, and the normalizers sum over the padded sample with
-line rows (base side) and rows past the sample as zeros, which groups
-numpy's pairwise sum another way. Only the winning consensus mask leaves
-the kernel, and ``estimate_dlt``'s re-fit of it fixes the output bytes.
+is solved by QR or gets a ninth zero row, and the normalizers sum over the
+padded sample with line rows (base side) and rows past the sample as
+zeros, which groups numpy's pairwise sum another way. Only the winning
+consensus mask leaves the kernel, and ``estimate_dlt``'s re-fit of it
+fixes the output bytes.
 The run stops after the block of the first draw whose consensus is every
 correspondence, which a later draw can only tie with the same mask; a
 non-finite hypothesis in a later block then raises no ``NumericError``.
@@ -34,7 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -245,7 +252,10 @@ def _batch_similarity(
     (k, m), and a row without members gets the identity."""
     count = np.maximum(member.sum(axis=1), 1)
     centroid = np.where(member[..., None], points, 0.0).sum(axis=1) / count[:, None]
-    distance = np.sqrt(((points - centroid[:, None]) ** 2).sum(axis=2))
+    # squares past about 1e154 overflow: the spread is inf, the scale 0, and
+    # the set comes out rank-deficient
+    with np.errstate(over="ignore"):
+        distance = np.sqrt(((points - centroid[:, None]) ** 2).sum(axis=2))
     spread = np.where(member, distance, 0.0).sum(axis=1) / count
     scale = np.where(spread > 1e-12, math.sqrt(2.0) / np.maximum(spread, 1e-12), 1.0)
     return scale, -scale[:, None] * centroid
@@ -272,6 +282,70 @@ def _constraint_arrays(
     return image, base
 
 
+def _svd_null_vectors(design: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The right singular vector of each design's least singular value, (k, 9),
+    and the rank test: ``s[7] / s[0]`` below ``_RANK_TOLERANCE``."""
+    _, singular, vt = np.linalg.svd(design)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rank_deficient = (singular[:, 0] <= 0) | (
+            singular[:, 7] / singular[:, 0] < _RANK_TOLERANCE
+        )
+    return vt[:, -1], rank_deficient
+
+
+def _back_substitute(r: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with r @ x = b, for upper-triangular r (k, n, n) and b (k, n, m); a
+    zero pivot gives inf or nan, not an error."""
+    x = np.zeros(b.shape)
+    for i in range(r.shape[1] - 1, -1, -1):
+        done = (r[:, i, None, i + 1 :] @ x[:, i + 1 :])[:, 0]
+        x[:, i] = (b[:, i] - done) / r[:, i, i, None]
+    return x
+
+
+def _minimal_null_vectors(design: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_svd_null_vectors`` of minimal samples, with QR in place of the SVD
+    for an eight-equation design (a zero ninth row) whenever QR certifies the
+    SVD's rank decision (Golub & Van Loan, Matrix Computations, 5.2).
+
+    QR of the eight rows A, transposed, gives an 8x8 R8 with A's singular
+    values, so with rho = 1 / (|A|_F |R8^-1|_F) the SVD's ``s[7] / s[0]``
+    lies in [rho, 8 rho]. Rho 1 % above the tolerance proves full rank and 8
+    rho 1 % below it proves deficiency; the margin covers the rounding of
+    both. QR of A itself, back-substituted with h9 = 1 and normalized, gives
+    a full-rank design's null vector. A design between the two bounds, or
+    whose back substitution is not finite, goes to the SVD, so every rank
+    decision is the SVD's. A deficient design is never scored, so it gets a
+    fixed unit vector.
+    """
+    null = np.empty((len(design), 9))
+    rank_deficient = np.empty(len(design), dtype=bool)
+    eight = np.flatnonzero(~design[:, 8].any(axis=1))
+    a = design[eight, :8]
+    with np.errstate(all="ignore"):
+        r8 = np.linalg.qr(np.swapaxes(a, 1, 2), mode="r")
+        r8_inverse = _back_substitute(r8, np.broadcast_to(np.eye(8), r8.shape))
+        frobenius = np.linalg.norm(a, axis=(1, 2))
+        rho = 1.0 / (frobenius * np.linalg.norm(r8_inverse, axis=(1, 2)))
+        r = np.linalg.qr(a, mode="r")
+        h = np.concatenate(
+            [_back_substitute(r[:, :, :8], -r[:, :, 8:])[..., 0], np.ones((len(a), 1))],
+            axis=1,
+        )
+        length = np.linalg.norm(h, axis=1)
+        h /= length[:, None]
+    full = (rho >= 1.01 * _RANK_TOLERANCE) & np.isfinite(length)
+    deficient = (8.0 * rho < 0.99 * _RANK_TOLERANCE) & (rho > 0)
+    exact = full | deficient
+    solved = eight[exact]
+    null[solved] = np.where(full[exact, None], h[exact], 1 / 3)
+    rank_deficient[solved] = deficient[exact]
+    rest = np.ones(len(design), dtype=bool)
+    rest[solved] = False
+    null[rest], rank_deficient[rest] = _svd_null_vectors(design[rest])
+    return null, rank_deficient
+
+
 def _dlt(
     image: np.ndarray,
     base: np.ndarray,
@@ -279,14 +353,17 @@ def _dlt(
     member: np.ndarray,
     base_norm: tuple[np.ndarray, np.ndarray],
     height: int,
+    null_vectors: Callable = _svd_null_vectors,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """DLT fits of k correspondence sets, their member rows, in one SVD.
+    """DLT fits of k correspondence sets, their member rows, in one batch.
 
     ``image`` and ``base`` are (k, m, 2), ``equations`` and ``member`` (k, m).
     Image points are normalized by ``_batch_similarity``, base ones by the
     (scale, shift) pair ``base_norm``. A point packs an x then a y row, a
-    line a y row, into a zero-padded (k, height, 9) stack. Returns the
-    de-normalized maps (k, 3, 3) and the rank-deficient mask.
+    line a y row, into a zero-padded (k, height, 9) stack, whose null vectors
+    and rank test ``null_vectors`` gives: the SVD unless the caller passes
+    ``_minimal_null_vectors``. Returns the de-normalized maps (k, 3, 3) and
+    the rank-deficient mask.
     """
     image_scale, image_shift = _batch_similarity(image, member)
     base_scale, base_shift = base_norm
@@ -305,17 +382,13 @@ def _dlt(
     design[b, y_row, 3:6] = uv1
     design[b, y_row, 6:9] = -xy[b, s, 1:] * uv1
 
-    _, singular, vt = np.linalg.svd(design)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rank_deficient = (singular[:, 0] <= 0) | (
-            singular[:, 7] / singular[:, 0] < _RANK_TOLERANCE
-        )
+    null, rank_deficient = null_vectors(design)
     # a zero base scale (its spread overflowed) leaves the set rank-deficient,
     # and inv must not fail on it
     base_scale = np.where(base_scale > 0, base_scale, 1.0)
     h = (
         np.linalg.inv(_similarity_stack(base_scale, base_shift))
-        @ vt[:, -1].reshape(-1, 3, 3)
+        @ null.reshape(-1, 3, 3)
         @ _similarity_stack(image_scale, image_shift)
     )
     return h, rank_deficient
@@ -328,7 +401,9 @@ def _fit_block(
     base: np.ndarray,
     equations: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Exact DLT fits of a block of minimal samples in one batched SVD.
+    """Exact DLT fits of a block of minimal samples, the eight-equation ones
+    by QR where ``_minimal_null_vectors`` certifies the SVD's rank decision,
+    the rest in one batched SVD.
 
     ``sample`` (k, m) holds permutation prefixes and ``size`` (k,) how many
     of each prefix form the sample, one (9, 9) system each. Returns the
@@ -338,12 +413,21 @@ def _fit_block(
     member = np.arange(sample.shape[1]) < size[:, None]
     base_norm = _batch_similarity(base[sample], member & (equations[sample] == 2))
     h, rank_deficient = _dlt(
-        image[sample], base[sample], equations[sample], member, base_norm, 9
+        image[sample],
+        base[sample],
+        equations[sample],
+        member,
+        base_norm,
+        9,
+        _minimal_null_vectors,
     )
     if not np.isfinite(h[~rank_deficient]).all():
         raise NumericError("homography contains non-finite entries")
-    h /= np.sqrt((h**2).sum(axis=(1, 2)))[:, None, None]
-    singular_map = np.abs(np.linalg.det(h)) <= 1e-12
+    # a deficient fit of image points whose spread overflowed (image scale 0)
+    # may de-normalize to the zero map
+    with np.errstate(invalid="ignore"):
+        h /= np.sqrt((h**2).sum(axis=(1, 2)))[:, None, None]
+        singular_map = np.abs(np.linalg.det(h)) <= 1e-12
     return h, rank_deficient | singular_map
 
 

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -195,10 +196,16 @@ def test_dlt_coordinates_whose_spread_overflows_are_degenerate(side):
         near, far = (float(i), float(i * i % 7)), (1e160 * i, 3.0 * i)
         image, base = (far, near) if side == "image" else (near, far)
         corrs.append(Correspondence.point(image, base))
-    for fit in (estimate_dlt, _reference_dlt):
-        with pytest.warns(RuntimeWarning, match="overflow"):
-            with pytest.raises(DegeneracyError, match="rank-deficient"):
-                fit(corrs)
+    # the library computes the normalizer under errstate: no warning at all
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegeneracyError, match="rank-deficient"):
+            estimate_dlt(corrs)
+        with pytest.raises(NoModelError, match="no sample produced a usable"):
+            fit_ransac(corrs, RansacParams(iterations=300, seed=0))
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        with pytest.raises(DegeneracyError, match="rank-deficient"):
+            _reference_dlt(corrs)
 
 
 def test_dlt_similarity_invariance_with_noisy_data():
@@ -386,6 +393,25 @@ def _reference_ransac(corrs, params):
         raise NoModelError("consensus set could not be re-estimated") from exc
     mask = residuals(final, corrs) <= params.inlier_threshold_px
     return final, mask, draws, degenerate, best_key[0]
+
+
+@pytest.mark.parametrize("lines", [0, 1], ids=["eight-equations", "nine-equations"])
+def test_estimate_dlt_stays_on_the_svd(lines):
+    # RANSAC solves its eight-equation samples by QR, but estimate_dlt's bits
+    # are the output: a four-point consensus re-fit must keep the SVD's
+    rng = np.random.default_rng(41)
+    for _ in range(20):
+        truth = _random_h(rng)
+        corrs = []
+        for i, p in enumerate(rng.uniform(0, 200, size=(4 + lines, 2))):
+            x, y = np.asarray(_apply(truth, p)) + rng.normal(0.0, 0.5, size=2)
+            if i < 4:
+                corrs.append(Correspondence.point(tuple(p), (x, y)))
+            else:
+                corrs.append(Correspondence.on_line(tuple(p), y))
+        assert sum(c.equations for c in corrs) == 8 + lines
+        expected = _reference_dlt(corrs).matrix
+        assert estimate_dlt(corrs).matrix.tobytes() == expected.tobytes()
 
 
 def _mixed_set(seed: int, outlier_share: float, line_share: float, n=None):
