@@ -15,7 +15,7 @@ RANSAC draws up to ``iterations`` times. Each draw is one
 shortest prefix reaching eight equations. ``_fit_block`` fits
 ``RANSAC_BLOCK`` draws in one (block, 9, 9) stack, and every hypothesis is
 scored in one (block, n) residual array. The rank test and
-``Homography``'s finiteness and determinant tests apply per hypothesis.
+``Homography``'s determinant test apply per hypothesis.
 Most samples hold exactly eight equations, whose null vector is exact:
 ``_minimal_null_vectors`` finds it by QR and back substitution wherever a
 QR certificate proves the SVD's rank decision, and leaves the rest, and
@@ -32,8 +32,7 @@ zeros, which groups numpy's pairwise sum another way. Only the winning
 consensus mask leaves the kernel, and ``estimate_dlt``'s re-fit of it
 fixes the output bytes.
 The run stops after the block of the first draw whose consensus is every
-correspondence, which a later draw can only tie with the same mask; a
-non-finite hypothesis in a later block then raises no ``NumericError``.
+correspondence, which a later draw can only tie with the same mask.
 The kernel works row by row, so no output depends on ``RANSAC_BLOCK``.
 """
 
@@ -54,7 +53,7 @@ from .errors import (
     ValidationError,
 )
 from .heatmap import DetectionSet
-from .model import BasePoolModel, KeyPointId, base_pixel_coordinates
+from .model import MAX_PX, BasePoolModel, KeyPointId, base_pixel_coordinates
 
 # A constraint system must provide at least this many independent equations.
 MIN_EQUATIONS = 8
@@ -117,7 +116,10 @@ def project(h: Homography, point: Sequence[float]) -> tuple[float, float]:
 @dataclass(frozen=True)
 class Correspondence:
     """One image observation tied to base geometry: a base point (two
-    equations) or, for a point on a horizontal line, a base ordinate (one)."""
+    equations) or, for a point on a horizontal line, a base ordinate (one).
+
+    A coordinate beyond ``MAX_PX`` is a ValidationError, so no fit overflows.
+    """
 
     image: tuple[float, float]
     base_point: tuple[float, float] | None = None
@@ -129,11 +131,11 @@ class Correspondence:
                 "correspondence requires exactly one of base_point and base_y"
             )
         numbers = (*self.image, *(self.base_point or ()), self.base_y or 0.0)
-        if not all(math.isfinite(x) for x in numbers):
-            raise NumericError(
-                f"non-finite coordinate in correspondence: image {self.image}, "
-                f"base {self.base_point or self.base_y}"
-            )
+        if not all(abs(x) <= MAX_PX for x in numbers):
+            where = f"image {self.image}, base {self.base_point or self.base_y}"
+            if not all(math.isfinite(x) for x in numbers):
+                raise NumericError(f"non-finite coordinate in correspondence: {where}")
+            raise ValidationError(f"coordinate beyond {MAX_PX:g} px: {where}")
 
     @property
     def equations(self) -> int:
@@ -252,10 +254,7 @@ def _batch_similarity(
     (k, m), and a row without members gets the identity."""
     count = np.maximum(member.sum(axis=1), 1)
     centroid = np.where(member[..., None], points, 0.0).sum(axis=1) / count[:, None]
-    # squares past about 1e154 overflow: the spread is inf, the scale 0, and
-    # the set comes out rank-deficient
-    with np.errstate(over="ignore"):
-        distance = np.sqrt(((points - centroid[:, None]) ** 2).sum(axis=2))
+    distance = np.sqrt(((points - centroid[:, None]) ** 2).sum(axis=2))
     spread = np.where(member, distance, 0.0).sum(axis=1) / count
     scale = np.where(spread > 1e-12, math.sqrt(2.0) / np.maximum(spread, 1e-12), 1.0)
     return scale, -scale[:, None] * centroid
@@ -286,11 +285,7 @@ def _svd_null_vectors(design: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The right singular vector of each design's least singular value, (k, 9),
     and the rank test: ``s[7] / s[0]`` below ``_RANK_TOLERANCE``."""
     _, singular, vt = np.linalg.svd(design)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rank_deficient = (singular[:, 0] <= 0) | (
-            singular[:, 7] / singular[:, 0] < _RANK_TOLERANCE
-        )
-    return vt[:, -1], rank_deficient
+    return vt[:, -1], singular[:, 7] / singular[:, 0] < _RANK_TOLERANCE
 
 
 def _back_substitute(r: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -383,9 +378,6 @@ def _dlt(
     design[b, y_row, 6:9] = -xy[b, s, 1:] * uv1
 
     null, rank_deficient = null_vectors(design)
-    # a zero base scale (its spread overflowed) leaves the set rank-deficient,
-    # and inv must not fail on it
-    base_scale = np.where(base_scale > 0, base_scale, 1.0)
     h = (
         np.linalg.inv(_similarity_stack(base_scale, base_shift))
         @ null.reshape(-1, 3, 3)
@@ -421,12 +413,10 @@ def _fit_block(
         9,
         _minimal_null_vectors,
     )
-    if not np.isfinite(h[~rank_deficient]).all():
-        raise NumericError("homography contains non-finite entries")
-    # a deficient fit of image points whose spread overflowed (image scale 0)
-    # may de-normalize to the zero map
-    with np.errstate(invalid="ignore"):
-        h /= np.sqrt((h**2).sum(axis=(1, 2)))[:, None, None]
+    h /= np.sqrt((h**2).sum(axis=(1, 2)))[:, None, None]
+    # LU of a map with subnormal entries may divide by zero; such a map's
+    # determinant still reads below the test's bound
+    with np.errstate(divide="ignore"):
         singular_map = np.abs(np.linalg.det(h)) <= 1e-12
     return h, rank_deficient | singular_map
 
@@ -437,12 +427,13 @@ def _score_block(
     """``residuals`` of every hypothesis in ``h`` (k, 3, 3), as (k, n)."""
     u, v = image[:, 0], image[:, 1]
     w = h[:, 2, 0, None] * u + h[:, 2, 1, None] * v + h[:, 2, 2, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # a point at the horizon scores inf below, whatever its division and its
+    # distance give
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         y = (h[:, 1, 0, None] * u + h[:, 1, 1, None] * v + h[:, 1, 2, None]) / w
         x = (h[:, 0, 0, None] * u + h[:, 0, 1, None] * v + h[:, 0, 2, None]) / w
-    r = np.where(
-        is_point, np.hypot(x - base[:, 0], y - base[:, 1]), np.abs(y - base[:, 1])
-    )
+        distance = np.hypot(x - base[:, 0], y - base[:, 1])
+    r = np.where(is_point, distance, np.abs(y - base[:, 1]))
     r[np.abs(w) < _W_EPSILON] = np.inf
     return r
 
@@ -525,15 +516,14 @@ def build_correspondences(
     Fixed key-points become point correspondences in base pixels; floating
     key-points constrain only the base ordinate of their lane-rope.
     Detections whose key-point does not exist in this pool configuration
-    have no base geometry and are reported back as skipped. The homography
-    squares coordinates: a detection beyond 1e150 px is a ValidationError.
+    have no base geometry and are reported back as skipped. A detection
+    beyond ``MAX_PX`` with base geometry is a ValidationError (see
+    ``Correspondence``).
     """
     pixels = dict(base_pixel_coordinates(model, scale_px_per_m))
     correspondences: list[Correspondence] = []
     skipped: list[KeyPointId] = []
     for d in det.detections:
-        if not max(abs(d.u), abs(d.v)) <= 1e150:
-            raise ValidationError(f"{d.kp.label} lies beyond 1e150 px")
         location = pixels.get(d.kp)
         if location is None:
             skipped.append(d.kp)

@@ -315,6 +315,14 @@ class PixelLocation:
     y_px: float
 
 
+# The largest pixel coordinate B a correspondence may hold. The base
+# normalizer's inverse has entries up to about 2B; the image normalizer's
+# scale reaches sqrt(2) / 1e-12 (its spread floor), so its shift reaches
+# 1.4e12 B. A de-normalized DLT map then has entries up to about 4.5e12 B^2,
+# and the sum of its nine squares stays finite for B up to about 3e70.
+MAX_PX = 1e70
+
+
 def _check_scale(scale_px_per_m: float) -> None:
     if not 0 < scale_px_per_m < math.inf:
         raise ValidationError("scale_px_per_m must be positive and finite")
@@ -325,12 +333,12 @@ def base_pixel_coordinates(
 ) -> list[tuple[KeyPointId, PixelLocation]]:
     """Existing key-points in base-image pixels, canonical channel order.
 
-    The homography squares pixel distances, so a scale that spans the pool's
-    longer side over more than 1e150 pixels is a ValidationError.
+    A scale that spans the pool's longer side over more than ``MAX_PX``
+    pixels, the bound on a correspondence, is a ValidationError.
     """
     _check_scale(scale_px_per_m)
-    if not max(model.basin_length_m, model.width_m) * scale_px_per_m <= 1e150:
-        raise ValidationError("scale_px_per_m spans the pool over more than 1e150 px")
+    if not max(model.basin_length_m, model.width_m) * scale_px_per_m <= MAX_PX:
+        raise ValidationError(f"scale_px_per_m spans the pool beyond {MAX_PX:g} px")
     out = []
     for kp in CHANNEL_IDS:
         entry = model.entries[kp]

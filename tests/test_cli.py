@@ -1093,8 +1093,8 @@ def _scaled_points(doc: dict, factor: float) -> str:
 def test_a_detection_beyond_1e150_px_is_one_validation_line(
     workspace, tmp_path, capsys
 ):
-    # the homography squares image coordinates, which overflows past about
-    # 1e154 px; the bound leaves a margin, as the base-pixel bound does
+    # a correspondence holds coordinates up to MAX_PX, which keeps every
+    # square the DLT takes finite
     det = tmp_path / "det.json"
     volume = workspace / "data" / "volumes" / "scene_0000.pkhv"
     assert main(["decode", "--volume", str(volume), "--out", str(det)]) == 0
@@ -1104,7 +1104,41 @@ def test_a_detection_beyond_1e150_px_is_one_validation_line(
     capsys.readouterr()
     assert main(["localize", "--detections", str(det), "--model", model]) == 4
     err = capsys.readouterr().err
-    assert err.startswith("error: validation: ") and "beyond 1e150 px" in err, err
+    assert err.startswith("error: validation: ") and "beyond 1e+70 px" in err, err
+    assert err.count("\n") == 1, err
+
+
+def test_a_scale_and_points_that_overflowed_the_dlt_are_one_validation_line(
+    tmp_path, capsys
+):
+    # five fixed points at 1e150 px and five near the origin, at a scale that
+    # puts the pool's base pixels near 1e150 too: the DLT's de-normalized map
+    # squared past the float range, and numpy printed warnings before exit 6
+    model = tmp_path / "model.json"
+    assert main(["model", "--lanes", "8", "--length", "50", "--out", str(model)]) == 0
+    far = [("wall_left", 0), ("wall_left", 12), ("wall_right", 0), ("wall_right", 12)]
+    near = [("wall_top", 4), ("wall_bottom", 2), ("wall_bottom", 6), ("wall_left", 3)]
+    points = [
+        {"class": cls, "index": index, "u": 1e150, "v": 1e150, "entropy": 0.0}
+        for cls, index in [*far, ("wall_top", 0)]
+    ]
+    points += [
+        {"class": cls, "index": index, "u": k, "v": 2 * k + 1, "entropy": 0.0}
+        for k, (cls, index) in zip(range(5, 10), [*near, ("wall_right", 5)])
+    ]
+    det = tmp_path / "det.json"
+    det.write_text(
+        json.dumps({"frame_id": "f", "rows": 10**151, "cols": 10**151, "points": points})
+    )
+    capsys.readouterr()
+    argv = ["localize", "--detections", str(det), "--model", str(model)]
+    assert main([*argv, "--scale", "1e148"]) == 4
+    err = capsys.readouterr().err
+    assert err == "error: validation: scale_px_per_m spans the pool beyond 1e+70 px\n"
+    # at the default scale the detections alone are beyond the bound
+    assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: validation: coordinate beyond 1e+70 px: image")
     assert err.count("\n") == 1, err
 
 

@@ -2,7 +2,6 @@
 
 import math
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -40,7 +39,7 @@ from poolkey.homography import (
     _score_block,
     fit_ransac,
 )
-from poolkey.model import KeyPointClass, KeyPointId
+from poolkey.model import MAX_PX, KeyPointClass, KeyPointId
 from poolkey.synth import SynthParams, make_scene
 
 
@@ -92,6 +91,20 @@ def test_project_raises_at_horizon():
     h = Homography([[1, 0, 0], [0, 1, 0], [1, 0, -1]])
     with pytest.raises(ProjectiveError):
         project(h, (1.0, 7.0))
+
+
+def test_residuals_are_infinite_past_the_horizon():
+    # w = u - 1 vanishes on the line u = 1
+    h = Homography([[1, 0, 0], [0, 1, 0], [1, 0, -1]])
+    corrs = [
+        Correspondence.point((1.0, 7.0), (0.0, 0.0)),
+        Correspondence.on_line((1.0, 3.0), 0.0),
+        Correspondence.point((2.0, 4.0), (2.0, 4.0)),
+    ]
+    assert residuals(h, corrs).tolist() == [math.inf, math.inf, 0.0]
+    for c in corrs[:2]:
+        with pytest.raises(ProjectiveError, match="maps to infinity"):
+            project(h, c.image)
 
 
 def test_canonical_form():
@@ -187,25 +200,24 @@ def test_dlt_coincident_points_are_degenerate():
         estimate_dlt(corrs)
 
 
-@pytest.mark.parametrize("side", ["image", "base"])
-def test_dlt_coordinates_whose_spread_overflows_are_degenerate(side):
-    # the normalizer's squared distances overflow to inf, its scale to 0, and
-    # every point of that side normalizes to the origin
-    corrs = []
-    for i in range(6):
-        near, far = (float(i), float(i * i % 7)), (1e160 * i, 3.0 * i)
-        image, base = (far, near) if side == "image" else (near, far)
-        corrs.append(Correspondence.point(image, base))
-    # the library computes the normalizer under errstate: no warning at all
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(DegeneracyError, match="rank-deficient"):
-            estimate_dlt(corrs)
-        with pytest.raises(NoModelError, match="no sample produced a usable"):
-            fit_ransac(corrs, RansacParams(iterations=300, seed=0))
-    with pytest.warns(RuntimeWarning, match="overflow"):
-        with pytest.raises(DegeneracyError, match="rank-deficient"):
-            _reference_dlt(corrs)
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda x: Correspondence.point((x, 3.0), (1.0, 2.0)),
+        lambda x: Correspondence.point((1.0, 2.0), (3.0, x)),
+        lambda x: Correspondence.on_line((1.0, 2.0), x),
+    ],
+    ids=["image", "base", "base_y"],
+)
+def test_correspondence_coordinates_beyond_max_px_are_validation_errors(make):
+    # the bound keeps every square the DLT takes finite (see MAX_PX)
+    assert make(MAX_PX).equations and make(-MAX_PX).equations
+    for beyond in (math.nextafter(MAX_PX, math.inf), -1e160):
+        with pytest.raises(ValidationError, match=r"coordinate beyond 1e\+70 px"):
+            make(beyond)
+    for non_finite in (math.nan, -math.inf):
+        with pytest.raises(NumericError, match="non-finite"):
+            make(non_finite)
 
 
 def test_dlt_similarity_invariance_with_noisy_data():

@@ -6,8 +6,12 @@ reference's statistics exactly, the stop at the first full consensus
 included, and its map and mask bit for bit. Both score a consensus of
 exactly eight equations 0.0, so no rounding of its residuals breaks a tie.
 ``estimate_dlt`` must give the scalar reference's map bit for bit, or its
-error type and message.
+error type and message. Within ``MAX_PX``, every fit returns or raises a
+``PoolError`` without a numpy warning, and a minimal sample of fewer than
+three fixed points never gives a usable hypothesis.
 """
+
+import warnings
 
 import numpy as np
 import pytest
@@ -32,7 +36,8 @@ from poolkey import (  # noqa: E402
     estimate_dlt,
     perfect_detections,
 )
-from poolkey.homography import fit_ransac  # noqa: E402
+from poolkey.homography import _fit_block, fit_ransac  # noqa: E402
+from poolkey.model import MAX_PX  # noqa: E402
 from poolkey.synth import SynthParams, make_scene  # noqa: E402
 
 EXAMPLES = settings(max_examples=50, deadline=None, database=None)
@@ -135,3 +140,69 @@ def test_estimate_dlt_is_the_scalar_dlt_bit_for_bit(
         else:
             corrs.append(Correspondence.point((u, v), (x, y)))
     assert _dlt_outcome(estimate_dlt, corrs) == _dlt_outcome(_reference_dlt, corrs)
+
+
+BOUNDED = st.one_of(
+    st.sampled_from([MAX_PX, -MAX_PX, 0.0]),
+    st.floats(-MAX_PX, MAX_PX),
+    st.floats(-1e3, 1e3),
+)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    coords=st.lists(st.tuples(*[BOUNDED] * 4), min_size=4, max_size=16),
+    line_share=st.sampled_from([0.0, 0.2, 0.4, 0.6]),
+    gap=st.sampled_from([None, 0.0, 2e-12, 1e-6]),
+    seed=st.integers(0, 2**16),
+)
+def test_fits_within_the_bound_raise_no_warning(coords, line_share, gap, seed):
+    # image points gap px apart on one line, coincident at a gap of 0: a few
+    # 1e-12 px apart at +-MAX_PX they give the image normalizer its largest
+    # scale and shift, and the de-normalized map its largest entries
+    lines = round(line_share * len(coords))
+    corrs = []
+    for i, (u, v, x, y) in enumerate(coords):
+        image = (u, v) if gap is None else (coords[0][0], coords[0][1] + i * gap)
+        if i < lines:
+            corrs.append(Correspondence.on_line(image, y))
+        else:
+            corrs.append(Correspondence.point(image, (x, y)))
+    params = RansacParams(iterations=64, seed=seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fit in (estimate_dlt, lambda c: fit_ransac(c, params)):
+            try:
+                fit(corrs)
+            except PoolError:
+                pass
+
+
+DECADES = st.floats(-4, 6).map(lambda e: 10.0**e)
+OFFSETS = st.tuples(st.floats(-1e8, 1e8), st.floats(-1e8, 1e8))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    counts=st.sampled_from([(0, 8), (1, 6), (1, 7), (2, 4), (2, 5)]),
+    image_scale=DECADES,
+    base_scale=DECADES,
+    image_offset=OFFSETS,
+    base_offset=OFFSETS,
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_minimal_samples_of_fewer_than_three_points_are_degenerate(
+    counts, image_scale, base_scale, image_offset, base_offset, seed
+):
+    # the y-equations of the points and lines bind h4..h9 alone: they force
+    # those to 0, and the map is singular, or they leave a null direction
+    points, lines = counts
+    n = points + lines
+    rng = np.random.default_rng(seed)
+    image = np.add(image_offset, image_scale * rng.uniform(-1, 1, size=(n, 2)))
+    base = np.add(base_offset, base_scale * rng.uniform(-1, 1, size=(n, 2)))
+    base[points:, 0] = 0.0  # a line's base point is (0, its ordinate)
+    equations = np.array([2] * points + [1] * lines)
+    sample = rng.permutation(n)[None]
+    _, degenerate = _fit_block(sample, np.array([n]), image, base, equations)
+    assert degenerate[0]

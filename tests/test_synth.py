@@ -40,6 +40,7 @@ from poolkey.model import (
     base_pixel_coordinates,
     canonical_channel_index,
 )
+from poolkey import synth
 from poolkey.synth import CameraJitter
 
 MODEL = build_base_model(PoolConfig(lanes=8, length_m=50))
@@ -137,6 +138,44 @@ def test_hand_built_clipped_camera_produces_exact_floating_points():
     for index, point in by_cls[KeyPointClass.FLOATING_LEFT].items():
         assert point.u == 0.0
         assert point.v == pytest.approx(350.0 - (0.25 + (index - 1) * 2.5) * 20.0)
+
+
+# hand-built base-to-frame candidates for the default 288x512 frame, against
+# the pool's (1000, 410) base pixels at 20 px/m
+EXTENT = (MODEL.basin_length_m * 20.0, MODEL.width_m * 20.0)
+FRAMED = np.array([[0.45, 0.0, 31.0], [0.0, -0.45, 250.0], [0.0, 0.0, 1.0]])
+
+
+def test_usable_scene_accepts_a_framed_candidate():
+    camera, ann = synth._usable_scene(FRAMED, MODEL, SynthParams(), None, EXTENT)
+    assert camera.flat() == Homography(FRAMED).flat()
+    assert ann == project_scene(MODEL, camera, 288, 512, 20.0)
+
+
+def test_usable_scene_rejects_a_pool_corner_behind_the_camera():
+    # w = 1 - x / 500 falls to -1 at the far end wall
+    matrix = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-0.002, 0.0, 1.0]])
+    assert synth._project_safe(matrix, EXTENT[0], 0.0) is None
+    assert synth._project_safe(matrix, 500.0, 0.0) is None  # the horizon
+    assert synth._project_safe(matrix, 0.0, 0.0) == (0.0, 0.0)
+    assert synth._usable_scene(matrix, MODEL, SynthParams(), None, EXTENT) is None
+
+
+def test_usable_scene_rejects_a_partial_view_whose_end_wall_is_visible():
+    assert not synth._wall_outside(FRAMED, 0.0, EXTENT[1], 288, 512)
+    assert synth._usable_scene(FRAMED, MODEL, SynthParams(), "left", EXTENT) is None
+
+
+def test_usable_scene_rejects_a_partial_view_with_fewer_than_two_floating_points():
+    # turned a quarter: u = y / 2 + 100, v = x / 4 - 10, so the left end wall
+    # lies above the frame and the lane-ropes run down it, crossing no side
+    matrix = np.array([[0.0, 0.5, 100.0], [0.25, 0.0, -10.0], [0.0, 0.0, 1.0]])
+    assert synth._wall_outside(matrix, 0.0, EXTENT[1], 288, 512)
+    ann = project_scene(MODEL, Homography(matrix), 288, 512, 20.0)
+    classes = {p.kp.cls for p in ann.points}
+    assert len(ann.points) >= 5
+    assert not classes & {KeyPointClass.FLOATING_LEFT, KeyPointClass.FLOATING_RIGHT}
+    assert synth._usable_scene(matrix, MODEL, SynthParams(), "left", EXTENT) is None
 
 
 def test_perfect_detections_mirror_the_annotation():
