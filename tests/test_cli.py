@@ -1112,8 +1112,8 @@ def test_a_scale_and_points_that_overflowed_the_dlt_are_one_validation_line(
     tmp_path, capsys
 ):
     # five fixed points at 1e150 px and five near the origin, at a scale that
-    # puts the pool's base pixels near 1e150 too: the DLT's de-normalized map
-    # squared past the float range, and numpy printed warnings before exit 6
+    # puts the pool's base pixels near 1e150 too: the squares of the DLT's
+    # de-normalized map would overflow, so the bound refuses both before a fit
     model = tmp_path / "model.json"
     assert main(["model", "--lanes", "8", "--length", "50", "--out", str(model)]) == 0
     far = [("wall_left", 0), ("wall_left", 12), ("wall_right", 0), ("wall_right", 12)]

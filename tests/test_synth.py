@@ -34,13 +34,13 @@ from poolkey import (
     synthesize_volume,
     write_volume,
 )
+from poolkey import synth
 from poolkey.heatmap import PeakPlan
 from poolkey.model import (
     KeyPointClass,
     base_pixel_coordinates,
     canonical_channel_index,
 )
-from poolkey import synth
 from poolkey.synth import CameraJitter
 
 MODEL = build_base_model(PoolConfig(lanes=8, length_m=50))
