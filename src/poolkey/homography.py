@@ -16,11 +16,9 @@ shortest prefix reaching eight equations. ``_fit_block`` fits
 ``RANSAC_BLOCK`` draws in one (block, 9, 9) stack, and every hypothesis is
 scored in one (block, n) residual array. The rank test and
 ``Homography``'s determinant test apply per hypothesis.
-Most samples hold exactly eight equations, whose null vector is exact:
-``_minimal_null_vectors`` finds it by QR and back substitution wherever a
-QR certificate proves the SVD's rank decision, and leaves the rest, and
-every nine-equation sample, to the SVD. So every rank decision, and with
-it ``draws`` and ``degenerate_draws``, is the SVD's.
+Most samples hold exactly eight equations, which ``_minimal_null_vectors``
+solves by one QR wherever that QR proves the SVD's rank decision; every
+rank decision, and with it ``draws`` and ``degenerate_draws``, is the SVD's.
 The most inliers win, then the smaller inlier residual sum, then the
 earlier draw, within a block and across blocks. A consensus of exactly
 eight equations sums to 0.0: it is its own minimal sample, fit exactly,
@@ -288,53 +286,44 @@ def _svd_null_vectors(design: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vt[:, -1], singular[:, 7] / singular[:, 0] < _RANK_TOLERANCE
 
 
-def _back_substitute(r: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """x with r @ x = b, for upper-triangular r (k, n, n) and b (k, n, m); a
-    zero pivot gives inf or nan, not an error."""
-    x = np.zeros(b.shape)
+def _upper_inverse(r: np.ndarray) -> np.ndarray:
+    """The inverse of each upper-triangular r (k, n, n), by back substitution;
+    a zero pivot gives inf or nan, not an error."""
+    x = np.zeros(r.shape)
     for i in range(r.shape[1] - 1, -1, -1):
         done = (r[:, i, None, i + 1 :] @ x[:, i + 1 :])[:, 0]
-        x[:, i] = (b[:, i] - done) / r[:, i, i, None]
+        x[:, i] = (np.eye(r.shape[1])[i] - done) / r[:, i, i, None]
     return x
 
 
 def _minimal_null_vectors(design: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``_svd_null_vectors`` of minimal samples, with QR in place of the SVD
-    for an eight-equation design (a zero ninth row) whenever QR certifies the
-    SVD's rank decision (Golub & Van Loan, Matrix Computations, 5.2).
+    """``_svd_null_vectors`` of minimal samples, with one QR in place of the
+    SVD for an eight-equation design (a zero ninth row) whenever QR certifies
+    the SVD's rank decision (Golub & Van Loan, Matrix Computations, 5.2).
 
-    QR of the eight rows A, transposed, gives an 8x8 R8 with A's singular
-    values, so with rho = 1 / (|A|_F |R8^-1|_F) the SVD's ``s[7] / s[0]``
-    lies in [rho, 8 rho]. Rho 1 % above the tolerance proves full rank and 8
-    rho 1 % below it proves deficiency; the margin covers the rounding of
-    both. QR of A itself, back-substituted with h9 = 1 and normalized, gives
-    a full-rank design's null vector. A design between the two bounds, or
-    whose back substitution is not finite, goes to the SVD, so every rank
-    decision is the SVD's. A deficient design is never scored, so it gets a
-    fixed unit vector.
+    The complete QR of the eight rows A, transposed, is Q [R8; 0]. R8 has A's
+    singular values, so with rho = 1 / (|A|_F |R8^-1|_F) the SVD's
+    ``s[7] / s[0]`` lies in [rho, 8 rho]. Rho 1 % above the tolerance proves
+    full rank and 8 rho 1 % below it proves deficiency; the margin covers the
+    rounding of both. Q's last column is orthogonal to A's rows, so it is a
+    unit null vector of every eight-equation design, the unique one up to sign
+    of a full-rank design. A design between the two bounds, and every
+    nine-equation design, goes to the SVD, so every rank decision is the SVD's.
     """
     null = np.empty((len(design), 9))
     rank_deficient = np.empty(len(design), dtype=bool)
     eight = np.flatnonzero(~design[:, 8].any(axis=1))
     a = design[eight, :8]
     with np.errstate(all="ignore"):
-        r8 = np.linalg.qr(np.swapaxes(a, 1, 2), mode="r")
-        r8_inverse = _back_substitute(r8, np.broadcast_to(np.eye(8), r8.shape))
+        q, r = np.linalg.qr(np.swapaxes(a, 1, 2), mode="complete")
+        r8_inverse = _upper_inverse(r[:, :8])
         frobenius = np.linalg.norm(a, axis=(1, 2))
         rho = 1.0 / (frobenius * np.linalg.norm(r8_inverse, axis=(1, 2)))
-        r = np.linalg.qr(a, mode="r")
-        h = np.concatenate(
-            [_back_substitute(r[:, :, :8], -r[:, :, 8:])[..., 0], np.ones((len(a), 1))],
-            axis=1,
-        )
-        length = np.linalg.norm(h, axis=1)
-        h /= length[:, None]
-    full = (rho >= 1.01 * _RANK_TOLERANCE) & np.isfinite(length)
     deficient = (8.0 * rho < 0.99 * _RANK_TOLERANCE) & (rho > 0)
-    exact = full | deficient
-    solved = eight[exact]
-    null[solved] = np.where(full[exact, None], h[exact], 1 / 3)
-    rank_deficient[solved] = deficient[exact]
+    certified = (rho >= 1.01 * _RANK_TOLERANCE) | deficient
+    solved = eight[certified]
+    null[solved] = q[certified, :, 8]
+    rank_deficient[solved] = deficient[certified]
     rest = np.ones(len(design), dtype=bool)
     rest[solved] = False
     null[rest], rank_deficient[rest] = _svd_null_vectors(design[rest])
@@ -393,9 +382,8 @@ def _fit_block(
     base: np.ndarray,
     equations: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Exact DLT fits of a block of minimal samples, the eight-equation ones
-    by QR where ``_minimal_null_vectors`` certifies the SVD's rank decision,
-    the rest in one batched SVD.
+    """Exact DLT fits of a block of minimal samples, their null vectors from
+    ``_minimal_null_vectors``.
 
     ``sample`` (k, m) holds permutation prefixes and ``size`` (k,) how many
     of each prefix form the sample, one (9, 9) system each. Returns the

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -491,8 +492,10 @@ def test_one_permuted_block_draws_one_permutation_per_row(n, draws):
 @pytest.mark.parametrize("line_share", [0.0, 0.4], ids=["points", "points-lines"])
 def test_block_hypotheses_match_per_sample_fits(line_share):
     # the ninth zero row and the normalizers over padded and masked rows sum
-    # in another order than the scalar DLT, so the unit-norm maps and the
-    # residuals may differ in the last digits only
+    # in another order than the scalar DLT, so the unit-norm maps may differ
+    # in the last digits only. Those digits grow large in the residual of a
+    # point near a map's horizon, so each row's scores are checked against
+    # ``residuals`` of that row's own map instead
     for seed in range(4):
         corrs = _mixed_set(seed, 0.3, line_share)
         equations = np.array([c.equations for c in corrs])
@@ -506,6 +509,9 @@ def test_block_hypotheses_match_per_sample_fits(line_share):
         h, degenerate = _fit_block(sample, size, image, base, equations)
         r = _score_block(h, image, base, equations == 2)
         for j, row in enumerate(sample):
+            scalar = residuals(SimpleNamespace(matrix=h[j]), corrs)
+            assert np.array_equal(np.isinf(r[j]), np.isinf(scalar))
+            np.testing.assert_array_max_ulp(r[j], scalar, maxulp=4)
             try:
                 expected = _reference_dlt([corrs[i] for i in row[: size[j]]])
             except DegeneracyError:
@@ -514,7 +520,6 @@ def test_block_hypotheses_match_per_sample_fits(line_share):
             assert not degenerate[j]
             m = h[j] * np.sign((h[j] * expected.matrix).sum())
             assert np.abs(m - expected.matrix).max() < 1e-10
-            assert np.allclose(r[j], residuals(expected, corrs), rtol=1e-9, atol=1e-9)
 
 
 @pytest.mark.parametrize("iterations", _ITERATIONS)

@@ -7,8 +7,9 @@ line-only samples, samples with three collinear wall key-points, and designs
 whose ``s[7] / s[0]`` lies within a few percent of 1e-8) it must give the
 SVD's deficient flag and, for a full-rank design, the SVD's null vector up
 to sign. The named cases pin each branch: certified full rank, certified
-deficient, the band between the bounds, a non-finite back substitution and
-nine equations, the last three left to the SVD.
+deficient, a null vector with h9 = 0 (all three solved by QR), the band
+between the bounds and nine equations (both left to the SVD). Over whole
+RANSAC runs, no eight-equation design reaches the SVD outside the band.
 """
 
 import numpy as np
@@ -18,8 +19,14 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from poolkey import homography  # noqa: E402
-from poolkey.homography import _minimal_null_vectors, _svd_null_vectors  # noqa: E402
+from test_homography import _mixed_set  # noqa: E402
+
+from poolkey import RansacParams, homography  # noqa: E402
+from poolkey.homography import (  # noqa: E402
+    _minimal_null_vectors,
+    _svd_null_vectors,
+    fit_ransac,
+)
 
 
 def _design(points, lines) -> np.ndarray:
@@ -185,16 +192,15 @@ def test_the_band_between_the_bounds_falls_back_to_the_svd(
     assert np.array_equal(null, _svd_null_vectors(design[None])[0])
 
 
-def test_a_non_finite_back_substitution_falls_back_to_the_svd(monkeypatch):
-    # a zero eighth column: full rank, but its null vector has h9 = 0, so
-    # QR's leading 8x8 block is singular and back substitution meets a zero
-    # pivot
+def test_a_null_vector_with_h9_zero_is_solved_by_qr(monkeypatch):
+    # a zero eighth column: full rank, and its null vector has h9 = 0, which
+    # no solve that fixes h9 = 1 can reach
     design = _with_spectrum(np.linspace(1.0, 0.2, 8), 3)
     design[:8, 7] = 0.0
     assert _rho(design) >= 1.01e-8
     calls = _svd_calls(monkeypatch)
     _assert_svd_decision(design)
-    assert calls == [1]
+    assert calls == [0]
 
 
 def test_nine_equations_stay_on_the_svd(monkeypatch):
@@ -210,3 +216,21 @@ def test_nine_equations_stay_on_the_svd(monkeypatch):
     svd_null, svd_deficient = _svd_null_vectors(design[None])
     assert np.array_equal(null[:1], svd_null)
     assert np.array_equal(deficient[:1], svd_deficient)
+
+
+@pytest.mark.parametrize("line_share", [0.0, 0.4], ids=["points", "points-lines"])
+def test_ransac_hands_the_svd_no_eight_equation_design(monkeypatch, line_share):
+    designs = []
+
+    def spy(design):
+        designs.append(design.copy())
+        return _svd_null_vectors(design)
+
+    monkeypatch.setattr(homography, "_svd_null_vectors", spy)
+    for seed in range(4):
+        fit_ransac(_mixed_set(seed, 0.3, line_share), RansacParams(seed=seed))
+    assert designs
+    # no eight-equation sample of these runs lies in the band, so each one
+    # gets its null vector from QR, whether it is full rank or deficient
+    for design in designs:
+        assert design[:, 8].any(axis=1).all()
